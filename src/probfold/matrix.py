@@ -40,8 +40,8 @@ class Matrix:
                 f"data shape {arr.shape} does not match {row_dim.size}x{col_dim.size} "
                 f"for {col_dim} -> {row_dim}"
             )
-        if arr.size and float(arr.min()) < 0.0:
-            raise ValueError("matrix entries must be nonnegative")
+        if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < np.inf):
+            raise DomainError(_bad_entries(arr))
         arr.setflags(write=False)
         self.col_dim = col_dim
         self.row_dim = row_dim
@@ -95,6 +95,14 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.col_dim} -> {self.row_dim}, {self.shape[0]}x{self.shape[1]})"
+
+
+def _bad_entries(arr: np.ndarray) -> str:
+    if np.isnan(arr).any():
+        return "matrix entries must not be NaN"
+    if np.isinf(arr).any():
+        return "matrix entries must be finite, got an infinite entry"
+    return "matrix entries must be nonnegative"
 
 
 def _csv_number(x: float) -> str:
@@ -262,8 +270,9 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
     """Like from_probfn, but records escaping mass per column instead of raising.
 
     Returns (matrix, escapes) where escapes maps column index to the dropped
-    (value, mass) pairs; callers must make sure no mass ever flows through a
-    deficient column (matrix_cata_fixpoint enforces this).
+    (value, mass) pairs. Callers must make sure no mass ever flows through a
+    deficient column: matrix_cata_fixpoint raises TruncationError on any
+    positive mass reaching such a column, with no threshold.
     """
     out = np.zeros((row_dim.size, col_dim.size))
     escapes: dict[int, list[tuple[Any, float]]] = {}

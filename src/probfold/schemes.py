@@ -21,13 +21,10 @@ from .matrix import (
     CS_TOL,
     Matrix,
     TruncationError,
-    converse,
-    from_sharp_fn,
     fst_matrix,
     khatri,
     madd,
     snd_matrix,
-    zeros,
 )
 
 
@@ -78,62 +75,45 @@ def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     raise DomainError(f"no initial-algebra evaluation for functor {functor}")
 
 
-def fixpoint_iterates(body: Matrix, init: Matrix, n_max: int, m_dim: Dim) -> list[Matrix]:
-    """Successive iterates of the column-filling recurrence, starting from the
-    zero matrix: place init in column 0, shift the previous iterate one input
-    to the right, and apply the body once."""
-    if body.col_dim != m_dim or body.row_dim != m_dim:
-        raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
-    if init.col_dim != UNIT or init.row_dim != m_dim:
-        raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
-    cols = Range(n_max + 1)
-    zero_sel = from_sharp_fn(lambda _u: 0, UNIT, cols)
-    succ = Matrix(cols, cols, np.eye(n_max + 1, k=-1))
-    first = init @ converse(zero_sel)
-    succ_conv = converse(succ)
-    iterates = [zeros(cols, m_dim)]
-    for _ in range(n_max + 2):
-        nxt = madd(first, body @ (iterates[-1] @ succ_conv))
-        if np.array_equal(nxt.data, iterates[-1].data):
-            break
-        iterates.append(nxt)
-    return iterates
-
-
 def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
                          escapes: dict[int, list[tuple[Any, float]]] | None = None) -> Matrix:
     """For-loop semantics as a matrix fixpoint over inputs 0..n_max.
 
-    Column j of the result is the distribution after j loop iterations.
-    ``escapes`` (from ``from_probfn_truncated``) flags body columns that lost
-    mass to truncation; the iteration raises TruncationError as soon as any
-    probability would flow through such a column, naming the escaped value.
+    The result k solves k . in = [init | body . k_prev]: column 0 is ``init``
+    and column j+1 is ``body`` applied to column j, the distribution after
+    j+1 loop iterations. It is computed by that column recurrence, one
+    matrix-vector product per column. Before a column feeds the next, any
+    positive mass at a state listed in ``escapes`` (from
+    ``from_probfn_truncated``) raises TruncationError naming the escaped
+    value, with no threshold; mass lost through a body column that sums to
+    less than one raises once it exceeds 1e-12.
     """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     if body.col_dim != m_dim or body.row_dim != m_dim:
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
         raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
     deficits = 1.0 - body.data.sum(axis=0)
-    cols = Range(n_max + 1)
-    zero_sel = from_sharp_fn(lambda _u: 0, UNIT, cols)
-    succ_conv = converse(Matrix(cols, cols, np.eye(n_max + 1, k=-1)))
-    first = init @ converse(zero_sel)
-    k = zeros(cols, m_dim)
-    for _ in range(n_max + 2):
-        shifted = k.data @ succ_conv.data
-        leaked = deficits @ shifted
-        if np.any(leaked > 1e-12):
-            state = int(np.argmax(deficits * shifted[:, int(np.argmax(leaked))]))
-            if escapes and state in escapes:
-                value = escapes[state][0][0]
-                raise TruncationError(f"mass would escape {m_dim} at value {value!r}")
+    escaping = np.array(sorted(escapes or ()), dtype=np.intp)
+    first = np.zeros((m_dim.size, n_max + 1))
+    first[:, 0] = init.data[:, 0]
+    steps = np.zeros_like(first)
+    col = first[:, 0]
+    for j in range(1, n_max + 1):
+        reached = col[escaping]
+        if np.any(reached > 0.0):
+            value = escapes[int(escaping[np.argmax(reached)])][0][0]
+            raise TruncationError(f"mass would escape {m_dim} at value {value!r}")
+        if deficits @ col > 1e-12:
+            state = int(np.argmax(deficits * col))
             raise TruncationError(
                 f"loop body loses mass from state {m_dim.elements()[state]!r} outside {m_dim}"
             )
-        nxt = madd(first, Matrix(cols, m_dim, body.data @ shifted))
-        if np.array_equal(nxt.data, k.data):
-            break
-        k = nxt
+        col = body.data @ col
+        steps[:, j] = col
+    cols = Range(n_max + 1)
+    k = madd(Matrix(cols, m_dim, first), Matrix(cols, m_dim, steps))
     if not k.is_column_stochastic(CS_TOL):
         raise TruncationError(f"fixpoint result is not column-stochastic over {m_dim}")
     return k
@@ -173,6 +153,8 @@ def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tup
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
     if isinstance(functor, ForLoopF):
+        if value < 0:
+            raise DomainError(f"iteration count must be >= 0, got {value}")
         f, g = h.base, k.base
         for _ in range(value):
             fg = pair(f, g)
@@ -207,6 +189,8 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
     side condition, checked empirically over ``test_inputs``: if one
     projection of the tupled fold is sharp there, the transformation is
     guaranteed distribution-preserving; otherwise it may change behaviour.
+    With no test inputs the condition is reported unchecked and ``holds`` is
+    false.
     """
     if h.functor != functor or k.functor != functor:
         raise DomainError("tupled_from_mutual needs both algebras over the given functor")
@@ -228,14 +212,15 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
         else:
             raise DomainError("pass test_inputs explicitly for list-shaped carriers")
     tested = tuple(test_inputs)
-    fst_sharp = True
-    snd_sharp = True
+    fst_sharp = snd_sharp = bool(tested)
     for value in tested:
         left, right = marginals(cata_eval(functor, tupled, value))
         fst_sharp = fst_sharp and left.is_dirac()
         snd_sharp = snd_sharp and right.is_dirac()
     holds = fst_sharp or snd_sharp
-    if holds:
+    if not tested:
+        message = "side condition unchecked: no test inputs were given"
+    elif holds:
         which = "first" if fst_sharp else "second"
         message = f"sharp {which} projection: side condition holds on tested range"
     else:

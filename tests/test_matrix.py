@@ -83,6 +83,14 @@ def test_matrix_rejects_bad_shapes_and_negatives():
         Matrix(Range(1), Range(1), [[-0.5]])
 
 
+@pytest.mark.parametrize("entry, cause", [(math.nan, "NaN"), (math.inf, "finite"),
+                                          (-math.inf, "finite")])
+def test_matrix_rejects_non_finite_entries_naming_the_cause(entry, cause):
+    with pytest.raises(DomainError) as err:
+        Matrix(Range(1), Range(2), [[0.5], [entry]])
+    assert cause in str(err.value)
+
+
 def test_matrix_data_is_read_only():
     m = identity(Range(2))
     with pytest.raises(ValueError):

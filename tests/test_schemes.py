@@ -20,7 +20,9 @@ from probfold.matrix import (
     TruncationError,
     from_probfn,
     from_probfn_truncated,
+    from_sharp_fn,
     identity,
+    junc,
     max_dev,
     to_probfn,
 )
@@ -30,7 +32,6 @@ from probfold.schemes import (
     banana_split,
     base_choice_split,
     cata_eval,
-    fixpoint_iterates,
     fold_fusion_check,
     fold_list,
     for_loop,
@@ -158,17 +159,39 @@ def test_fixpoint_columns_match_monadic_loop():
         assert tv_distance(col, d) <= 1e-12
 
 
-def test_fixpoint_columns_stabilize_at_their_own_iteration():
-    states, body, init, _ = _ftwice_pieces(0.1, 8)
-    iterates = fixpoint_iterates(body, init, 4, states)
-    # iterates[0] is the zero matrix; column j is filled at iterate j+1, is
-    # bitwise fixed from then on, and the chain converges after n_max+1 steps
-    assert len(iterates) == 6
-    for j in range(5):
-        filled = iterates[j + 1].data[:, j]
-        assert filled.sum() > 0.0
-        for later in iterates[j + 2:]:
-            assert np.array_equal(later.data[:, j], filled)
+def _fixpoint_equation_dev(k, body, init, n_max):
+    """max |k . in - [init | body . k_prev]| over the inputs 0..n_max."""
+    inputs, prev = Range(n_max + 1), Range(n_max)
+    in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, inputs),
+                  from_sharp_fn(lambda j: j + 1, prev, inputs))
+    k_prev = k @ from_sharp_fn(lambda j: j, prev, inputs)
+    return max_dev(k @ in_mat, junc(init, body @ k_prev))
+
+
+def test_fixpoint_satisfies_its_equation():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        states = Range(int(rng.integers(1, 8)))
+        body = random_cs_matrix(rng, states, states)
+        init = random_cs_matrix(rng, UNIT, states)
+        n_max = int(rng.integers(1, 12))
+        k = matrix_cata_fixpoint(body, init, n_max, states)
+        assert _fixpoint_equation_dev(k, body, init, n_max) <= 1e-12
+    for p, n_max in ((0.1, 4), (0.3, 30), (0.0, 7)):
+        states, body, init, escapes = _ftwice_pieces(p, 2 * n_max)
+        k = matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+        assert _fixpoint_equation_dev(k, body, init, n_max) <= 1e-12
+
+
+def test_fixpoint_matches_binomial_columns_at_n400():
+    p, n_max = 0.1, 400
+    states, body, init, escapes = _ftwice_pieces(p, 2 * n_max)
+    k = matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+    want = np.zeros((2 * n_max + 1, n_max + 1))
+    for j in range(n_max + 1):
+        for i in range(j + 1):
+            want[2 * i, j] = math.comb(j, i) * (1 - p) ** i * p ** (j - i)
+    assert np.max(np.abs(k.data - want)) <= 1e-12
 
 
 def test_fixpoint_detects_reachable_escape():
@@ -177,6 +200,21 @@ def test_fixpoint_detects_reachable_escape():
     with pytest.raises(TruncationError) as err:
         matrix_cata_fixpoint(body, init, 5, states, escapes=escapes)
     assert "10" in str(err.value)
+
+
+def test_fixpoint_detects_escape_below_any_threshold():
+    # state 398, whose step escapes to 400, first carries mass 0.8**199 ~ 5e-20
+    states, body, init, escapes = _ftwice_pieces(0.2, 399)
+    with pytest.raises(TruncationError) as err:
+        matrix_cata_fixpoint(body, init, 200, states, escapes=escapes)
+    assert "at value 400" in str(err.value)
+
+
+def test_fixpoint_rejects_negative_input_count():
+    states, body, init, escapes = _ftwice_pieces(0.1, 8)
+    with pytest.raises(DomainError) as err:
+        matrix_cata_fixpoint(body, init, -1, states, escapes=escapes)
+    assert "n_max" in str(err.value)
 
 
 def test_fixpoint_sharp_body_gives_doubling_matrix():
@@ -263,6 +301,19 @@ def test_tupling_side_condition_fails_for_fib():
     assert "may change" in report.message
     lhs = pair(*mutual_eval(_FOR, h, k, 5))
     assert tv_distance(lhs, cata_eval(_FOR, tupled, 5)) >= 0.01
+
+
+def test_tupling_side_condition_without_inputs_is_unchecked():
+    h, k = sq_algebras(0.1)
+    _, report = tupled_from_mutual(_FOR, h, k, test_inputs=())
+    assert not report.holds and not report.fst_sharp and not report.snd_sharp
+    assert "unchecked" in report.message
+
+
+def test_mutual_eval_rejects_negative_iteration_count():
+    h, k = sq_algebras(0.1)
+    with pytest.raises(DomainError):
+        mutual_eval(_FOR, h, k, -3)
 
 
 def test_all_sharp_algebras_tuple_to_the_classical_result():
