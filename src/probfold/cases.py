@@ -40,18 +40,6 @@ def _check_prob(value: float, name: str) -> None:
         raise DomainError(f"{name}={value!r} outside [0, 1]")
 
 
-def _check_nat(value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"input {value!r} is not a natural number")
-    return value
-
-
-def _check_seq(value: Any):
-    if not isinstance(value, (str, list, tuple)):
-        raise DomainError(f"input {value!r} is not a sequence")
-    return value
-
-
 _FOR = ForLoopF()
 _LIST = ListF()
 
@@ -81,46 +69,46 @@ def sq_prime_algebras(p: float, q: float) -> tuple[Algebra, Algebra]:
 
 def mfib(p: float, n: int) -> Dist:
     h, k = fib_algebras(p)
-    return mutual_eval(_FOR, h, k, _check_nat(n))[0]
+    return mutual_eval(_FOR, h, k, n)[0]
 
 
 def mfibl(p: float, n: int) -> Dist:
     h, k = fib_algebras(p)
     tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, _check_nat(n)))[0]
+    return marginals(cata_eval(_FOR, tupled, n))[0]
 
 
 def msq(p: float, n: int) -> Dist:
     h, k = sq_algebras(p)
-    return mutual_eval(_FOR, h, k, _check_nat(n))[0]
+    return mutual_eval(_FOR, h, k, n)[0]
 
 
 def msql(p: float, n: int) -> Dist:
     h, k = sq_algebras(p)
     tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, _check_nat(n)))[0]
+    return marginals(cata_eval(_FOR, tupled, n))[0]
 
 
 def msqlo(p: float, n: int) -> Dist:
     h, k = sq_algebras(p)
     tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, _check_nat(n)))[1]
+    return marginals(cata_eval(_FOR, tupled, n))[1]
 
 
 def msq_prime(p: float, q: float, n: int) -> Dist:
     h, k = sq_prime_algebras(p, q)
-    return mutual_eval(_FOR, h, k, _check_nat(n))[0]
+    return mutual_eval(_FOR, h, k, n)[0]
 
 
 def msql_prime(p: float, q: float, n: int) -> Dist:
     h, k = sq_prime_algebras(p, q)
     tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, _check_nat(n)))[0]
+    return marginals(cata_eval(_FOR, tupled, n))[0]
 
 
 def ftwice(p: float, n: int) -> Dist:
     """Doubling as a for-loop over faulty addition of 2, from 0."""
-    return for_loop(fadd(p, 2), dirac(0), _check_nat(n))
+    return for_loop(fadd(p, 2), dirac(0), n)
 
 
 def _empty_like(xs):
@@ -162,17 +150,15 @@ def consolidated_count_algebra(p: float, q: float) -> Algebra:
 
 
 def fcat(p: float, xs) -> Dist:
-    xs = _check_seq(xs)
-    alg = fcat_algebra(p, xs)
-    return cata_eval(_LIST, alg, xs)
+    return cata_eval(_LIST, fcat_algebra(p, xs), xs)
 
 
 def fcount(q: float, xs) -> Dist:
-    return cata_eval(_LIST, fcount_algebra(q), _check_seq(xs))
+    return cata_eval(_LIST, fcount_algebra(q), xs)
 
 
 def fsum(p: float, xs) -> Dist:
-    return cata_eval(_LIST, fsum_algebra(p), _check_seq(xs))
+    return cata_eval(_LIST, fsum_algebra(p), xs)
 
 
 def pipeline_count_cat(p: float, q: float, xs) -> Dist:
@@ -183,7 +169,7 @@ def pipeline_count_cat(p: float, q: float, xs) -> Dist:
 
 def pipeline_consolidated(p: float, q: float, xs) -> Dist:
     """The fused single fold equivalent to the copy-then-count pipeline."""
-    return cata_eval(_LIST, consolidated_count_algebra(p, q), _check_seq(xs))
+    return cata_eval(_LIST, consolidated_count_algebra(p, q), xs)
 
 
 def favg_pair(p: float, q: float, xs) -> Dist:
@@ -194,7 +180,7 @@ def favg_pair(p: float, q: float, xs) -> Dist:
 def favg_split(p: float, q: float, xs) -> Dist:
     """Single fold on (total, count) pairs, by banana-split."""
     combined = banana_split(_LIST, fsum_algebra(p), fcount_algebra(q))
-    return cata_eval(_LIST, combined, _check_seq(xs))
+    return cata_eval(_LIST, combined, xs)
 
 
 @dataclass(frozen=True)
@@ -214,14 +200,14 @@ class CaseDef:
 
 
 REGISTRY: dict[str, CaseDef] = {
-    "mfib": CaseDef(lambda c: mfib(c.p, _check_nat(c.input)), "nat"),
-    "mfibl": CaseDef(lambda c: mfibl(c.p, _check_nat(c.input)), "nat"),
-    "msq": CaseDef(lambda c: msq(c.p, _check_nat(c.input)), "nat"),
-    "msql": CaseDef(lambda c: msql(c.p, _check_nat(c.input)), "nat"),
-    "msqlo": CaseDef(lambda c: msqlo(c.p, _check_nat(c.input)), "nat"),
-    "msq'": CaseDef(lambda c: msq_prime(c.p, c.q, _check_nat(c.input)), "nat", uses_q=True),
-    "msql'": CaseDef(lambda c: msql_prime(c.p, c.q, _check_nat(c.input)), "nat", uses_q=True),
-    "ftwice": CaseDef(lambda c: ftwice(c.p, _check_nat(c.input)), "nat"),
+    "mfib": CaseDef(lambda c: mfib(c.p, c.input), "nat"),
+    "mfibl": CaseDef(lambda c: mfibl(c.p, c.input), "nat"),
+    "msq": CaseDef(lambda c: msq(c.p, c.input), "nat"),
+    "msql": CaseDef(lambda c: msql(c.p, c.input), "nat"),
+    "msqlo": CaseDef(lambda c: msqlo(c.p, c.input), "nat"),
+    "msq'": CaseDef(lambda c: msq_prime(c.p, c.q, c.input), "nat", uses_q=True),
+    "msql'": CaseDef(lambda c: msql_prime(c.p, c.q, c.input), "nat", uses_q=True),
+    "ftwice": CaseDef(lambda c: ftwice(c.p, c.input), "nat"),
     "fcat": CaseDef(lambda c: fcat(c.p, c.input), "seq"),
     "fcount": CaseDef(lambda c: fcount(c.q, c.input), "seq", uses_q=True),
     "fsum": CaseDef(lambda c: fsum(c.p, c.input), "seq"),
@@ -248,6 +234,4 @@ def run_case(name: str, params: CaseParams) -> Dist:
         raise UnknownCaseError(f"unknown case {name!r}; known: {', '.join(sorted(REGISTRY))}") from None
     _check_prob(params.p, "p")
     _check_prob(params.q, "q")
-    if case.kind == "seq":
-        _check_seq(params.input)
     return case.run(params)

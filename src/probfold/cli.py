@@ -16,11 +16,13 @@ import numpy as np
 
 from .cases import ALIASES, CaseParams, REGISTRY, fadd, run_case
 from .dims import BOOLS, Range, UNIT
-from .dist import Dist, DomainError, DistributionError, dirac, percent_string, render, tv_distance
+from .dist import (Dist, DomainError, DistributionError, canonical_value, dirac, percent_string,
+                   render, tv_distance)
 from .laws import CATALOGUE, TrialConfig, check_law, risk_preorder
 from .matrix import (
     Matrix,
     TruncationError,
+    csv_number,
     from_probfn,
     from_probfn_truncated,
     from_sharp_fn,
@@ -107,7 +109,7 @@ def cmd_cases(parser, args) -> int:
 
 
 def _table_lines(m: Matrix, header: bool) -> list[str]:
-    cells = [[_fmt_entry(x) for x in row] for row in m.data]
+    cells = [[csv_number(x) for x in row] for row in m.data]
     col_labels = [str(v) for v in m.col_dim.elements()]
     row_labels = [str(v) for v in m.row_dim.elements()]
     if header:
@@ -116,12 +118,6 @@ def _table_lines(m: Matrix, header: bool) -> list[str]:
         rows = cells
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-
-
-def _fmt_entry(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
 
 
 def cmd_matrix(parser, args) -> int:
@@ -202,16 +198,12 @@ def _golden_rows(table: reference.GoldenTable) -> tuple[list[str], bool]:
         rows.append(f"| `{value!r}` | {pct:.1f} | {percent_string(dist.mass(value))} "
                     f"| {abs(computed - pct):.4f} | {'yes' if line_ok else 'NO'} |")
     if table.complete:
-        golden_values = {_canon(v) for v, _ in table.lines}
+        golden_values = {canonical_value(v) for v, _ in table.lines}
         for value, mass in dist.items():
             if value not in golden_values and mass * 100.0 >= 0.05:
                 ok = False
                 rows.append(f"| `{value!r}` | (absent) | {percent_string(mass)} | - | NO |")
     return rows, ok
-
-
-def _canon(v):
-    return tuple(_canon(x) for x in v) if isinstance(v, (list, tuple)) else v
 
 
 def _section(title: str, tables: list[reference.GoldenTable]) -> tuple[list[str], bool]:

@@ -4,12 +4,16 @@ The grammar covers the staple shapes: bounded iteration
 (``ForLoopF``, F X = 1 + X), right folds over sequences (``ListF``,
 F X = 1 + A*X), plus identity, constants, sums and composition for the
 structural-induction checks. Each functor acts both on dimensions and on
-matrices, and the two actions agree by construction.
+matrices, and the two actions agree by construction. The two recursive shapes
+also act on values and unfold their own inputs, which is all a monadic fold
+needs to know about its shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Any, Callable, Iterable
 
 from .dims import Dim, Product, Sum, UNIT
 from .dist import DomainError
@@ -25,6 +29,15 @@ class FunctorDesc:
 
     def on_matrix(self, m: Matrix) -> Matrix:
         raise NotImplementedError
+
+    def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
+        """Validate a fold input and return its per-layer continuations,
+        innermost first: a monadic fold binds them in order."""
+        raise DomainError(f"no monadic catamorphism for functor {self}")
+
+    def on_value(self, fn: Callable, v: Any) -> Any:
+        """Apply ``fn`` at the recursive position of one F-value."""
+        raise DomainError(f"no monadic catamorphism for functor {self}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,14 @@ class ForLoopF(FunctorDesc):
     def on_matrix(self, m: Matrix) -> Matrix:
         return oplus(identity(UNIT), m)
 
+    def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DomainError(f"input {value!r} is not a natural number")
+        return repeat(step, value)
+
+    def on_value(self, fn: Callable, v: Any) -> Any:
+        return fn(v)
+
 
 @dataclass(frozen=True)
 class ListF(FunctorDesc):
@@ -82,6 +103,14 @@ class ListF(FunctorDesc):
 
     def on_matrix(self, m: Matrix) -> Matrix:
         return oplus(identity(UNIT), kron(identity(self._need_alphabet()), m))
+
+    def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
+        if not isinstance(value, (str, list, tuple)):
+            raise DomainError(f"input {value!r} is not a sequence")
+        return [lambda s, a=a: step((a, s)) for a in reversed(value)]
+
+    def on_value(self, fn: Callable, v: Any) -> Any:
+        return v[0], fn(v[1])
 
 
 @dataclass(frozen=True)

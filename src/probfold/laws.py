@@ -500,6 +500,7 @@ def _law_cata_universal(rng, cfg):
     size = int(rng.integers(2, 5))
     carrier = Range(size)
     base = random_dist(rng, carrier)
+    base_col = from_probfn(lambda _u: base, UNIT, carrier)
     if rng.random() < 0.5:
         step = _table_step(rng, list(range(size)), carrier)
         alg = Algebra(_FOR, base, step)
@@ -508,12 +509,12 @@ def _law_cata_universal(rng, cfg):
         col_dists = [base]
         for _ in range(n_max):
             col_dists.append(bind(col_dists[-1], step))
-        k = _matrix_of_columns(cols, carrier, col_dists)
+        k = from_probfn(col_dists.__getitem__, cols, carrier)
         prev = Range(n_max)
         in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, cols),
                       from_sharp_fn(lambda j: j + 1, prev, cols))
         k_prev = k @ from_sharp_fn(lambda j: j, prev, cols)
-        alg_mat = junc(_column_of(base, carrier), from_probfn(step, carrier, carrier))
+        alg_mat = junc(base_col, from_probfn(step, carrier, carrier))
         rhs = alg_mat @ oplus(identity(UNIT), k_prev)
     else:
         alph_size, max_len = 2, 4
@@ -526,11 +527,11 @@ def _law_cata_universal(rng, cfg):
         for xs in lists.elements():
             if xs not in memo:
                 memo[xs] = bind(memo[xs[1:]], lambda s, a=xs[0]: step((a, s)))
-        k = _matrix_of_columns(lists, carrier, [memo[xs] for xs in lists.elements()])
+        k = from_probfn(memo.__getitem__, lists, carrier)
         in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
                       from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
         k_short = k @ from_sharp_fn(lambda xs: xs, shorter, lists)
-        alg_mat = junc(_column_of(base, carrier), from_probfn(step, Product(alphabet, carrier), carrier))
+        alg_mat = junc(base_col, from_probfn(step, Product(alphabet, carrier), carrier))
         rhs = alg_mat @ oplus(identity(UNIT), kron(identity(alphabet), k_short))
     dev = max_dev(k @ in_mat, rhs)
     return dev, f"universal-property deviation {dev!r}" if dev > cfg.tol else None
@@ -690,18 +691,6 @@ def _law_mutual_recursion_fib(rng, cfg):
     rhs = cata_eval(_FOR, tupled, 5)
     dev = tv_distance(lhs, rhs)
     return dev, f"pairing vs tupled fold differ by TV {dev!r} at n=5" if dev > cfg.tol else None
-
-
-def _matrix_of_columns(cols: Dim, rows: Dim, dists: list[Dist]) -> Matrix:
-    data = np.zeros((rows.size, cols.size))
-    for j, d in enumerate(dists):
-        for v, m in d.items():
-            data[rows.index_of(v), j] = m
-    return Matrix(cols, rows, data)
-
-
-def _column_of(d: Dist, dim: Dim) -> Matrix:
-    return _matrix_of_columns(UNIT, dim, [d])
 
 
 # ---------------------------------------------------------------------------

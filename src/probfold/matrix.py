@@ -76,10 +76,10 @@ class Matrix:
         if header:
             writer.writerow([""] + [str(v) for v in self.col_dim.elements()])
             for label, row in zip(self.row_dim.elements(), self.data):
-                writer.writerow([str(label)] + [_csv_number(x) for x in row])
+                writer.writerow([str(label)] + [csv_number(x) for x in row])
         else:
             for row in self.data:
-                writer.writerow([_csv_number(x) for x in row])
+                writer.writerow([csv_number(x) for x in row])
         return out.getvalue()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -105,7 +105,7 @@ def _bad_entries(arr: np.ndarray) -> str:
     return "matrix entries must be nonnegative"
 
 
-def _csv_number(x: float) -> str:
+def csv_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(float(x))
@@ -255,14 +255,7 @@ def from_probfn(f: ProbFn | Callable[[Any], Dist], col_dim: Dim | None = None,
     row_dim = row_dim if row_dim is not None else getattr(f, "out_dim", None)
     if col_dim is None or row_dim is None:
         raise DomainError("from_probfn needs explicit column and row dims")
-    out = np.zeros((row_dim.size, col_dim.size))
-    for j, a in enumerate(col_dim.elements()):
-        d = f(a)
-        for v, m in d.items():
-            if v not in row_dim:
-                raise TruncationError(f"support value {v!r} of input {a!r} escapes output dim {row_dim}")
-            out[row_dim.index_of(v), j] = m
-    return Matrix(col_dim, row_dim, out)
+    return _probfn_columns(f, col_dim, row_dim, strict=True)[0]
 
 
 def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
@@ -274,13 +267,21 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
     deficient column: matrix_cata_fixpoint raises TruncationError on any
     positive mass reaching such a column, with no threshold.
     """
+    return _probfn_columns(f, col_dim, row_dim, strict=False)
+
+
+def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
+                    strict: bool) -> tuple[Matrix, dict[int, list[tuple[Any, float]]]]:
+    """The column loop behind both constructors; ``strict`` raises on the
+    first support value outside ``row_dim`` instead of recording it."""
     out = np.zeros((row_dim.size, col_dim.size))
     escapes: dict[int, list[tuple[Any, float]]] = {}
     for j, a in enumerate(col_dim.elements()):
-        d = f(a)
-        for v, m in d.items():
+        for v, m in f(a).items():
             if v in row_dim:
                 out[row_dim.index_of(v), j] = m
+            elif strict:
+                raise TruncationError(f"support value {v!r} of input {a!r} escapes output dim {row_dim}")
             else:
                 escapes.setdefault(j, []).append((v, m))
     return Matrix(col_dim, row_dim, out), escapes

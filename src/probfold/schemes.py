@@ -10,6 +10,7 @@ side conditions or need none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,23 +28,27 @@ from .matrix import (
     snd_matrix,
 )
 
+_FOR, _LIST = ForLoopF(), ListF()
+_fst, _snd = itemgetter(0), itemgetter(1)
+
+
+def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
+    """The monadic catamorphism: bind the layers ``functor`` unfolds from
+    ``value``, innermost first, starting from ``base``."""
+    d = base
+    for k in functor.layers(step, value):
+        d = bind(d, k)
+    return d
+
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:
     """n-fold Kleisli iteration of ``body`` starting from ``init``."""
-    if n < 0:
-        raise DomainError(f"iteration count must be >= 0, got {n}")
-    d = init
-    for _ in range(n):
-        d = bind(d, body)
-    return d
+    return _fold(_FOR, body, init, n)
 
 
 def fold_list(step: Callable[[tuple], Dist], base: Dist, xs: Sequence) -> Dist:
     """Right fold in the Kleisli category: step consumes (element, state)."""
-    d = base
-    for a in reversed(xs):
-        d = bind(d, lambda s, a=a: step((a, s)))
-    return d
+    return _fold(_LIST, step, base, xs)
 
 
 @dataclass(frozen=True)
@@ -64,15 +69,7 @@ def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     """Evaluate the catamorphism of ``alg`` on one initial-algebra value."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
-    if isinstance(functor, ForLoopF):
-        if not isinstance(value, int) or value < 0:
-            raise DomainError(f"for-loop input must be a natural number, got {value!r}")
-        return for_loop(alg.step, alg.base, value)
-    if isinstance(functor, ListF):
-        if not isinstance(value, (str, list, tuple)):
-            raise DomainError(f"list-fold input must be a sequence, got {value!r}")
-        return fold_list(alg.step, alg.base, value)
-    raise DomainError(f"no initial-algebra evaluation for functor {functor}")
+    return _fold(functor, alg.step, alg.base, value)
 
 
 def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
@@ -88,8 +85,8 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     value, with no threshold; mass lost through a body column that sums to
     less than one raises once it exceeds 1e-12.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise DomainError(f"n_max must be a natural number, got {n_max!r}")
     if body.col_dim != m_dim or body.row_dim != m_dim:
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
@@ -127,24 +124,16 @@ def unzip(functor: FunctorDesc, b: Dim, c: Dim) -> Matrix:
 def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebra:
     """Fuse two folds over the same input into one fold on pairs.
 
-    Valid unconditionally (no sharpness needed): the combined step feeds f's
-    component and g's component independently, which is exactly the
-    kron-after-unzip algebra on the product carrier.
+    Valid unconditionally (no sharpness needed): the combined step unzips
+    its input, feeding f's component and g's component independently, which
+    is exactly the kron-after-unzip algebra on the product carrier.
     """
     if alg_f.functor != functor or alg_g.functor != functor:
         raise DomainError("banana_split needs both algebras over the given functor")
-    base = pair(alg_f.base, alg_g.base)
-    if isinstance(functor, ForLoopF):
-        def step(s, _f=alg_f.step, _g=alg_g.step):
-            x, y = s
-            return pair(_f(x), _g(y))
-        return Algebra(functor, base, step)
-    if isinstance(functor, ListF):
-        def step(av, _f=alg_f.step, _g=alg_g.step):
-            a, (x, y) = av
-            return pair(_f((a, x)), _g((a, y)))
-        return Algebra(functor, base, step)
-    raise DomainError(f"no monadic catamorphism for functor {functor}")
+
+    def step(v, _f=alg_f.step, _g=alg_g.step, _at=functor.on_value):
+        return pair(_f(_at(_fst, v)), _g(_at(_snd, v)))
+    return Algebra(functor, pair(alg_f.base, alg_g.base), step)
 
 
 def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tuple[Dist, Dist]:
@@ -152,22 +141,11 @@ def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tup
     recursive occurrences independently (the pre-tupling semantics)."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
-    if isinstance(functor, ForLoopF):
-        if value < 0:
-            raise DomainError(f"iteration count must be >= 0, got {value}")
-        f, g = h.base, k.base
-        for _ in range(value):
-            fg = pair(f, g)
-            f, g = bind(fg, h.step), bind(fg, k.step)
-        return f, g
-    if isinstance(functor, ListF):
-        f, g = h.base, k.base
-        for a in reversed(value):
-            fg = pair(f, g)
-            f = bind(fg, lambda s, a=a: h.step((a, s)))
-            g = bind(fg, lambda s, a=a: k.step((a, s)))
-        return f, g
-    raise DomainError(f"no monadic catamorphism for functor {functor}")
+    f, g = h.base, k.base
+    for h_layer, k_layer in zip(functor.layers(h.step, value), functor.layers(k.step, value)):
+        fg = pair(f, g)
+        f, g = bind(fg, h_layer), bind(fg, k_layer)
+    return f, g
 
 
 @dataclass(frozen=True)
@@ -182,7 +160,7 @@ class SideConditionReport:
 
 
 def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
-                       test_inputs: Iterable[Any] | None = None) -> tuple[Algebra, SideConditionReport]:
+                       test_inputs: Iterable[Any]) -> tuple[Algebra, SideConditionReport]:
     """Tupling transformation: merge a mutually recursive pair into one fold.
 
     Returns the pair-carrier algebra together with a report on the sharpness
@@ -194,23 +172,11 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
     """
     if h.functor != functor or k.functor != functor:
         raise DomainError("tupled_from_mutual needs both algebras over the given functor")
-    base = pair(h.base, k.base)
-    if isinstance(functor, ForLoopF):
-        def step(s, _h=h.step, _k=k.step):
-            return pair(_h(s), _k(s))
-    elif isinstance(functor, ListF):
-        def step(av, _h=h.step, _k=k.step):
-            a, s = av
-            return pair(_h((a, s)), _k((a, s)))
-    else:
-        raise DomainError(f"no monadic catamorphism for functor {functor}")
-    tupled = Algebra(functor, base, step)
 
-    if test_inputs is None:
-        if isinstance(functor, ForLoopF):
-            test_inputs = tuple(range(9))
-        else:
-            raise DomainError("pass test_inputs explicitly for list-shaped carriers")
+    def step(v, _h=h.step, _k=k.step):
+        return pair(_h(v), _k(v))
+    tupled = Algebra(functor, pair(h.base, k.base), step)
+
     tested = tuple(test_inputs)
     fst_sharp = snd_sharp = bool(tested)
     for value in tested:
@@ -270,10 +236,9 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     points: list[tuple[Any, Any]] = []
     if carrier_values is not None:
         if alphabet is None:
-            if isinstance(g_alg.functor, ListF) and g_alg.functor.alphabet is not None:
-                alphabet = g_alg.functor.alphabet.elements()
-            else:
-                alphabet = tuple(sorted({a for xs in inputs for a in xs}, key=repr))
+            declared = getattr(g_alg.functor, "alphabet", None)
+            alphabet = (declared.elements() if declared is not None
+                        else sorted({a for xs in inputs for a in xs}, key=repr))
         points = [(a, s) for a in alphabet for s in carrier_values]
     else:
         seen = set()

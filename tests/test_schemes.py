@@ -122,6 +122,38 @@ def test_cata_eval_rejects_bad_inputs():
         cata_eval(_LIST, alg, "abc")
 
 
+_NAT_ALG = Algebra(_FOR, dirac(0), lambda s: dirac(s))
+_SEQ_ALG = Algebra(_LIST, dirac(0), lambda av: dirac(av[1]))
+_FOLDS = {
+    "nat": {
+        "for_loop": lambda v: for_loop(_NAT_ALG.step, _NAT_ALG.base, v),
+        "cata_eval": lambda v: cata_eval(_FOR, _NAT_ALG, v),
+        "mutual_eval": lambda v: mutual_eval(_FOR, _NAT_ALG, _NAT_ALG, v),
+    },
+    "seq": {
+        "fold_list": lambda v: fold_list(_SEQ_ALG.step, _SEQ_ALG.base, v),
+        "cata_eval": lambda v: cata_eval(_LIST, _SEQ_ALG, v),
+        "mutual_eval": lambda v: mutual_eval(_LIST, _SEQ_ALG, _SEQ_ALG, v),
+    },
+}
+_BAD_INPUTS = {"nat": (-1, 2.5, True, "abc"), "seq": (5,)}
+
+
+@pytest.mark.parametrize("kind, fold, value", [
+    (kind, fold, value) for kind, folds in _FOLDS.items() for fold in folds for value in _BAD_INPUTS[kind]
+])
+def test_every_fold_rejects_inputs_outside_its_carrier(kind, fold, value):
+    want = "natural number" if kind == "nat" else "sequence"
+    with pytest.raises(DomainError, match=f"input {value!r} is not a {want}"):
+        _FOLDS[kind][fold](value)
+
+
+def test_functor_without_monadic_fold_is_rejected():
+    alg = Algebra(IdF(), dirac(0), lambda s: dirac(s))
+    with pytest.raises(DomainError, match="no monadic catamorphism"):
+        cata_eval(IdF(), alg, 3)
+
+
 # --- the matrix fixpoint -------------------------------------------------------
 
 def _ftwice_pieces(p, m):
@@ -215,6 +247,13 @@ def test_fixpoint_rejects_negative_input_count():
     with pytest.raises(DomainError) as err:
         matrix_cata_fixpoint(body, init, -1, states, escapes=escapes)
     assert "n_max" in str(err.value)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, "4"])
+def test_fixpoint_rejects_non_natural_input_count(n_max):
+    states, body, init, escapes = _ftwice_pieces(0.1, 8)
+    with pytest.raises(DomainError, match="n_max"):
+        matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
 
 
 def test_fixpoint_sharp_body_gives_doubling_matrix():
