@@ -7,6 +7,7 @@ so the distributions are exact. The registry names are the CLI contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -18,7 +19,12 @@ from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tu
 def fadd(p: float, x: int) -> ProbFn:
     """Faulty addition of x: with probability p it acts as the identity."""
     _check_prob(p, "p")
-    return ProbFn(lambda y: Dist([(y, p), (x + y, 1.0 - p)]))
+    return ProbFn(lambda y: _fadd(p, x, y))
+
+
+def _fadd(p: float, x: float, y: float) -> Dist:
+    """One faulty addition x + y, for a rate its caller has already checked."""
+    return Dist([(y, p), (x + y, 1.0 - p)])
 
 
 def fadd_zero(q: float, x: int) -> ProbFn:
@@ -47,23 +53,27 @@ _LIST = ListF()
 def fib_algebras(p: float) -> tuple[Algebra, Algebra]:
     """The mutually recursive pair behind the Fibonacci programs: the function
     itself and its derivative, with the fault in the derivative's addition."""
+    _check_prob(p, "p")
     h = Algebra(_FOR, dirac(0), lambda s: dirac(s[1]))
-    k = Algebra(_FOR, dirac(1), lambda s: fadd(p, s[0])(s[1]))
+    k = Algebra(_FOR, dirac(1), lambda s: _fadd(p, s[0], s[1]))
     return h, k
 
 
 def sq_algebras(p: float) -> tuple[Algebra, Algebra]:
     """Square via sums of odd numbers; only the accumulating step is faulty,
     the odd-number counter stays sharp."""
-    h = Algebra(_FOR, dirac(0), lambda s: fadd(p, s[0])(s[1]))
+    _check_prob(p, "p")
+    h = Algebra(_FOR, dirac(0), lambda s: _fadd(p, s[0], s[1]))
     k = Algebra(_FOR, dirac(1), lambda s: dirac(s[1] + 2))
     return h, k
 
 
 def sq_prime_algebras(p: float, q: float) -> tuple[Algebra, Algebra]:
     """The disturbed square pair: the odd-number counter is faulty too."""
-    h = Algebra(_FOR, dirac(0), lambda s: fadd(p, s[0])(s[1]))
-    k = Algebra(_FOR, dirac(1), lambda s: fadd(q, 2)(s[1]))
+    _check_prob(p, "p")
+    _check_prob(q, "q")
+    h = Algebra(_FOR, dirac(0), lambda s: _fadd(p, s[0], s[1]))
+    k = Algebra(_FOR, dirac(1), lambda s: _fadd(q, 2, s[1]))
     return h, k
 
 
@@ -134,9 +144,19 @@ def fcount_algebra(q: float) -> Algebra:
 
 
 def fsum_algebra(p: float) -> Algebra:
-    """Sum a sequence of integers through faulty addition."""
+    """Sum a sequence of numbers through faulty addition."""
     _check_prob(p, "p")
-    return Algebra(_LIST, dirac(0), lambda av: fadd(p, av[0])(av[1]))
+    return Algebra(_LIST, dirac(0), lambda av: _fadd(p, av[0], av[1]))
+
+
+def _check_reals(xs) -> None:
+    """Reject a sequence holding anything but finite real numbers (bools
+    excluded), naming the first offender; other inputs are left to the fold."""
+    if isinstance(xs, (str, list, tuple)):
+        for a in xs:
+            if not (isinstance(a, int) and not isinstance(a, bool)
+                    or isinstance(a, float) and math.isfinite(a)):
+                raise DomainError(f"element {a!r} of input {xs!r} is not a real number")
 
 
 def consolidated_count_algebra(p: float, q: float) -> Algebra:
@@ -158,6 +178,7 @@ def fcount(q: float, xs) -> Dist:
 
 
 def fsum(p: float, xs) -> Dist:
+    _check_reals(xs)
     return cata_eval(_LIST, fsum_algebra(p), xs)
 
 
@@ -179,6 +200,7 @@ def favg_pair(p: float, q: float, xs) -> Dist:
 
 def favg_split(p: float, q: float, xs) -> Dist:
     """Single fold on (total, count) pairs, by banana-split."""
+    _check_reals(xs)
     combined = banana_split(_LIST, fsum_algebra(p), fcount_algebra(q))
     return cata_eval(_LIST, combined, xs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from .dims import Dim
@@ -47,33 +48,62 @@ def support_key(value: Any):
     raise TypeError(f"unorderable support value {value!r}")
 
 
+_NUMBERS = frozenset((int, float))
+
+
+def _sorted_support(values: dict) -> list:
+    """The values in ``support_key`` order. When they are all numbers, all
+    strings, or all tuples of numbers, native comparison gives exactly that
+    order and is used instead (``type`` keeps bools, which sort apart, out)."""
+    kinds = set(map(type, values))
+    if (kinds <= _NUMBERS or kinds == {str}
+            or (kinds == {tuple} and set(map(type, chain.from_iterable(values))) <= _NUMBERS)):
+        return sorted(values)
+    return sorted(values, key=support_key)
+
+
+class _Masses(dict):
+    """Accumulator of the monad's own operations. Its values come from Dist
+    supports or through ``canonical_value``, and its masses are sums and
+    products of checked, finite, nonnegative masses, so ``Dist`` takes it
+    without re-checking each entry; pruning and the total-mass check still
+    run."""
+
+    __slots__ = ()
+
+
 class Dist:
     """Immutable finite-support probability distribution.
 
     The constructor accepts a mapping or an iterable of (value, mass) pairs;
-    duplicate values accumulate. Sub-distributions are rejected -- the total
-    mass must be 1 within ``PROPER_TOL`` -- and there is deliberately no
+    duplicate values accumulate. Each entry is canonicalised and checked for
+    NaN and negative mass, except when the monad's own operations pass their
+    already-checked accumulator. Sub-distributions are always rejected -- the
+    total mass must be 1 within ``PROPER_TOL`` -- and there is deliberately no
     silent renormalization (see ``normalize`` for test scaffolding).
     """
 
     __slots__ = ("_mass",)
 
     def __init__(self, support: dict | Iterable[tuple[Any, float]]):
-        acc: dict[Any, float] = {}
-        pairs = support.items() if isinstance(support, dict) else support
-        for value, mass in pairs:
-            value = canonical_value(value)
-            m = float(mass)
-            if math.isnan(m):
-                raise DistributionError(f"NaN mass at {value!r}")
-            if m < 0.0:
-                raise DistributionError(f"negative mass {m!r} at {value!r}")
-            acc[value] = acc.get(value, 0.0) + m
+        if type(support) is _Masses:
+            acc = support
+        else:
+            acc = {}
+            pairs = support.items() if isinstance(support, dict) else support
+            for value, mass in pairs:
+                value = canonical_value(value)
+                m = float(mass)
+                if math.isnan(m):
+                    raise DistributionError(f"NaN mass at {value!r}")
+                if m < 0.0:
+                    raise DistributionError(f"negative mass {m!r} at {value!r}")
+                acc[value] = acc.get(value, 0.0) + m
         acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
         total = math.fsum(acc.values())
         if abs(total - 1.0) > PROPER_TOL:
             raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
-        self._mass = dict(sorted(acc.items(), key=lambda e: support_key(e[0])))
+        self._mass = {v: acc[v] for v in _sorted_support(acc)}
 
     def mass(self, value: Any) -> float:
         return self._mass.get(canonical_value(value), 0.0)
@@ -114,33 +144,34 @@ def choice(p: float, d: Dist, e: Dist) -> Dist:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"choice probability {p!r} outside [0, 1]")
-    acc: dict[Any, float] = {}
-    for v, m in d.items():
+    acc = _Masses()
+    for v, m in d._mass.items():
         acc[v] = acc.get(v, 0.0) + p * m
-    for v, m in e.items():
+    for v, m in e._mass.items():
         acc[v] = acc.get(v, 0.0) + (1.0 - p) * m
     return Dist(acc)
 
 
 def bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
     """Monadic bind: draw from ``d``, continue with ``k``."""
-    acc: dict[Any, float] = {}
-    for v, m in d.items():
+    acc = _Masses()
+    get = acc.get
+    for v, m in d._mass.items():
         try:
             out = k(v)
         except (KeyError, IndexError) as exc:
             raise DomainError(f"continuation undefined at support value {v!r}") from exc
         if not isinstance(out, Dist):
             raise DomainError(f"continuation returned {type(out).__name__}, not Dist, at {v!r}")
-        for w, mw in out.items():
-            acc[w] = acc.get(w, 0.0) + m * mw
+        for w, mw in out._mass.items():
+            acc[w] = get(w, 0.0) + m * mw
     return Dist(acc)
 
 
 def dist_map(d: Dist, f: Callable[[Any], Any]) -> Dist:
     """Push ``d`` forward through a plain (sharp) function."""
-    acc: dict[Any, float] = {}
-    for v, m in d.items():
+    acc = _Masses()
+    for v, m in d._mass.items():
         w = canonical_value(f(v))
         acc[w] = acc.get(w, 0.0) + m
     return Dist(acc)
@@ -148,18 +179,19 @@ def dist_map(d: Dist, f: Callable[[Any], Any]) -> Dist:
 
 def pair(d: Dist, e: Dist) -> Dist:
     """Independent product: mass of (b, c) is d(b) * e(c)."""
-    acc: dict[Any, float] = {}
-    for b, mb in d.items():
-        for c, mc in e.items():
+    acc = _Masses()
+    es = e._mass.items()
+    for b, mb in d._mass.items():
+        for c, mc in es:
             acc[(b, c)] = mb * mc
     return Dist(acc)
 
 
 def marginals(d: Dist) -> tuple[Dist, Dist]:
     """Component distributions of a pair-valued distribution."""
-    fst: dict[Any, float] = {}
-    snd: dict[Any, float] = {}
-    for v, m in d.items():
+    fst = _Masses()
+    snd = _Masses()
+    for v, m in d._mass.items():
         if not (isinstance(v, tuple) and len(v) == 2):
             raise DomainError(f"support value {v!r} is not a pair")
         b, c = v

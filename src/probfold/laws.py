@@ -26,7 +26,7 @@ from .cases import (
     fib_algebras,
 )
 from .dims import BOOLS, Dim, EnumDim, Product, Range, Sum, UNIT
-from .dist import Dist, DomainError, bind, dirac, dist_map, kleisli, pair, tv_distance
+from .dist import Dist, DomainError, dirac, dist_map, kleisli, pair, tv_distance
 from .functors import CompF, ConstF, ForLoopF, FunctorDesc, IdF, ListF, SumF
 from .matrix import (
     DimensionError,
@@ -506,10 +506,7 @@ def _law_cata_universal(rng, cfg):
         alg = Algebra(_FOR, base, step)
         n_max = 8
         cols = Range(n_max + 1)
-        col_dists = [base]
-        for _ in range(n_max):
-            col_dists.append(bind(col_dists[-1], step))
-        k = from_probfn(col_dists.__getitem__, cols, carrier)
+        k = from_probfn(lambda j: cata_eval(_FOR, alg, j), cols, carrier)
         prev = Range(n_max)
         in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, cols),
                       from_sharp_fn(lambda j: j + 1, prev, cols))
@@ -523,11 +520,7 @@ def _law_cata_universal(rng, cfg):
         keys = [(a, s) for a in range(alph_size) for s in range(size)]
         step = _table_step(rng, keys, carrier)
         alg = Algebra(ListF(alphabet), base, step)
-        memo: dict[tuple, Dist] = {(): base}
-        for xs in lists.elements():
-            if xs not in memo:
-                memo[xs] = bind(memo[xs[1:]], lambda s, a=xs[0]: step((a, s)))
-        k = from_probfn(memo.__getitem__, lists, carrier)
+        k = from_probfn(lambda xs: cata_eval(alg.functor, alg, xs), lists, carrier)
         in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
                       from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
         k_short = k @ from_sharp_fn(lambda xs: xs, shorter, lists)

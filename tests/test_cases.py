@@ -10,6 +10,15 @@ from probfold.cases import (
     fadd,
     fadd_combined,
     fadd_zero,
+    favg_pair,
+    favg_split,
+    fsum,
+    mfib,
+    mfibl,
+    msq,
+    msq_prime,
+    msql,
+    msql_prime,
     run_case,
 )
 from probfold.dist import DomainError, dirac, tv_distance
@@ -66,6 +75,25 @@ def test_carrier_violations_are_rejected():
         run_case("fcat", CaseParams(p=0.1, input=3))
     with pytest.raises(DomainError):
         run_case("mfib", CaseParams(p=1.5, input=3))
+
+
+def test_bad_rates_are_rejected_at_every_input_size():
+    # n=0 never runs a step, so the rates must be checked when the algebras are built
+    for fn, args, cause in [(mfib, (1.5,), "p=1.5"), (mfibl, (1.5,), "p=1.5"),
+                            (msq, (-0.2,), "p=-0.2"), (msql, (-0.2,), "p=-0.2"),
+                            (msq_prime, (0.1, 7.0), "q=7.0"), (msql_prime, (0.1, 7.0), "q=7.0")]:
+        for n in (0, 3):
+            with pytest.raises(DomainError, match=cause):
+                fn(*args, n)
+
+
+def test_sums_reject_elements_that_are_not_real_numbers():
+    for xs, bad in [("abc", "'a'"), ([1, "x"], "'x'"), ((2, True), "True"),
+                    ([1.5, math.nan], "nan"), ([None], "None")]:
+        for fn, args in [(fsum, (0.1,)), (favg_pair, (0.1, 0.2)), (favg_split, (0.1, 0.2))]:
+            with pytest.raises(DomainError, match=f"element {bad} of input"):
+                fn(*args, xs)
+    assert fsum(0.0, (1, 2.5, -4)) == dirac(-0.5)
 
 
 def test_prime_aliases():

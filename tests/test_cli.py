@@ -47,6 +47,17 @@ def test_cases_carrier_violation_exits_1(capsys):
     assert "natural" in err
 
 
+def test_cases_non_number_sum_input_is_one_error_line():
+    for name in ("fsum", "favg_pair", "favg_split"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "probfold.cli", "cases", name, "--p", "0.1", "--input", "abc"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: element 'a' of input 'abc' is not a real number\n"
+
+
 def test_cases_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cases", "unknown_case", "--n", "1"])

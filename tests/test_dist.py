@@ -15,15 +15,17 @@ from probfold.dist import (
     bind,
     choice,
     dirac,
+    dist_map,
     kleisli,
     marginals,
     normalize,
     pair,
     percent_string,
     render_lines,
+    support_key,
     tv_distance,
 )
-from probfold.cases import fadd, mfib, mfibl
+from probfold.cases import fadd, mfib, mfibl, msq
 
 settings.register_profile("deterministic", derandomize=True, max_examples=100, deadline=None)
 settings.load_profile("deterministic")
@@ -187,6 +189,69 @@ def test_tv_trivial_cases():
     assert tv_distance(dirac(0), dirac(1)) == 1.0
     d = Dist({0: 0.25, 1: 0.75})
     assert tv_distance(d, d) == 0.0
+
+
+# --- the monad's own results: checked once per entry ------------------------
+
+def _numbers():
+    return st.integers(-3, 3) | st.floats(-3.0, 3.0)
+
+
+def _support_lists():
+    leaf = st.booleans() | _numbers() | st.text("ab", max_size=2)
+    return st.one_of(
+        st.lists(_numbers(), min_size=1, max_size=8),
+        st.lists(st.text("abc", max_size=3), min_size=1, max_size=8),
+        st.lists(st.just(()) | st.tuples(_numbers()) | st.tuples(_numbers(), _numbers()),
+                 min_size=1, max_size=8),
+        st.lists(leaf, min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(0, 2), st.text("ab", max_size=1)), min_size=1, max_size=8),
+        st.lists(st.recursive(leaf, lambda inner: st.tuples(inner, inner), max_leaves=4),
+                 min_size=1, max_size=8),
+    )
+
+
+@given(_support_lists())
+def test_support_is_in_support_key_order(vs):
+    # all-number, all-string and number-tuple supports sort natively; every
+    # other mix (bools, nested or str/int tuples, mixed kinds) by support_key
+    d = Dist([(v, 1.0 / len(vs)) for v in vs])
+    assert list(d.support) == sorted(d.support, key=support_key)
+
+
+def _bits(d):
+    return [(repr(v), m.hex()) for v, m in d.items()]
+
+
+def _checked(pairs):
+    """The same pairs accumulated in a plain dict, through every entry check."""
+    acc = {}
+    for v, m in pairs:
+        acc[v] = acc.get(v, 0.0) + m
+    return Dist(list(acc.items()))
+
+
+@given(dists(), dists(), kleisli_tables(), st.floats(0.0, 1.0))
+def test_monad_operations_match_the_checked_constructor(d, e, table, p):
+    k = lambda v: table[v]
+    assert _bits(bind(d, k)) == _bits(
+        _checked((w, m * mw) for v, m in d.items() for w, mw in k(v).items()))
+    de = pair(d, e)
+    assert _bits(de) == _bits(
+        _checked(((b, c), mb * mc) for b, mb in d.items() for c, mc in e.items()))
+    assert _bits(choice(p, d, e)) == _bits(_checked(
+        [(v, p * m) for v, m in d.items()] + [(v, (1.0 - p) * m) for v, m in e.items()]))
+    fst, snd = marginals(de)
+    assert _bits(fst) == _bits(_checked((b, m) for (b, _), m in de.items()))
+    assert _bits(snd) == _bits(_checked((c, m) for (_, c), m in de.items()))
+    assert _bits(dist_map(d, lambda v: [v % 2, abs(v)])) == _bits(
+        _checked(((v % 2, abs(v)), m) for v, m in d.items()))
+
+
+def test_monad_results_still_get_the_total_mass_check():
+    # the accumulated drift of msq at p=0.1 crosses PROPER_TOL at n=29
+    with pytest.raises(DistributionError, match="total mass"):
+        msq(0.1, 29)
 
 
 # --- the fib divergence, against an independent brute-force oracle ----------
