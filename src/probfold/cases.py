@@ -7,7 +7,7 @@ so the distributions are exact. The registry names are the CLI contract.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -150,12 +150,12 @@ def fsum_algebra(p: float) -> Algebra:
 
 
 def _check_reals(xs) -> None:
-    """Reject a sequence holding anything but finite real numbers (bools
-    excluded), naming the first offender; other inputs are left to the fold."""
+    """Reject a sequence holding anything but numbers with a finite float value
+    (bools excluded), naming the first offender; other inputs are left to the fold."""
     if isinstance(xs, (str, list, tuple)):
         for a in xs:
-            if not (isinstance(a, int) and not isinstance(a, bool)
-                    or isinstance(a, float) and math.isfinite(a)):
+            if (isinstance(a, bool) or not isinstance(a, (int, float))
+                    or not abs(a) <= sys.float_info.max):
                 raise DomainError(f"element {a!r} of input {xs!r} is not a real number")
 
 

@@ -1,6 +1,7 @@
 """Seeded randomized verifier for the combinator-algebra laws.
 
-Every numbered transformation law gets a catalogue entry; a check runs a
+Every numbered transformation law gets a catalogue entry: a draw spec and a
+deviation expression, or a body that draws its own instance. A check runs a
 configured number of random instances and reports the worst deviation between
 the two sides. Negative results are first class: expected-fail laws succeed
 exactly when a genuine violation is exhibited (reconstruction from
@@ -79,12 +80,16 @@ class TrialConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("seed", "trials", "max_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not 2 <= self.max_dim <= 12:
             raise DomainError(f"max_dim must be in 2..12, got {self.max_dim}")
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < math.inf):
+            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,15 @@ def _leaf(rng, size: int) -> Dim:
     return Range(size)
 
 
+def _dims(rng, cfg: TrialConfig, count: int) -> list[Dim]:
+    return [random_dim(rng, cfg.max_dim) for _ in range(count)]
+
+
+def _range(rng, low: int, high: int) -> Range:
+    """Range of a size drawn from low..high-1."""
+    return Range(int(rng.integers(low, high)))
+
+
 def random_cs_matrix(rng: np.random.Generator, cols: Dim, rows: Dim) -> Matrix:
     """Column-stochastic matrix with columns drawn as normalized positive vectors."""
     data = rng.random((rows.size, cols.size)) + 1e-9
@@ -158,6 +172,24 @@ def random_probfn(rng: np.random.Generator, in_dim: Dim, out_dim: Dim):
     return to_probfn(random_cs_matrix(rng, in_dim, out_dim))
 
 
+def _random_k_sharp(rng, a: Dim, b: Dim, c: Dim, sharp_fst: bool) -> tuple[Matrix, np.ndarray]:
+    """k : a -> b x c with a sharp first (or second) projection, and each column's pick there."""
+    sharp, free = (b, c) if sharp_fst else (c, b)
+    picks = rng.integers(0, sharp.size, size=a.size)
+    data = np.zeros((b.size * c.size, a.size))
+    for j, pick in enumerate(picks):
+        block = rng.random(free.size) + 1e-9
+        rows = pick * c.size + np.arange(c.size) if sharp_fst else pick + c.size * np.arange(b.size)
+        data[rows, j] = block / block.sum()
+    return Matrix(a, Product(b, c), data), picks
+
+
+def _random_list(rng, alphabet, max_len: int) -> tuple:
+    """A tuple of 0..max_len letters drawn uniformly from alphabet."""
+    length = int(rng.integers(0, max_len + 1))
+    return tuple(int(a) for a in rng.choice(alphabet, size=length))
+
+
 def _sharp_fn_of(m: Matrix) -> Callable[[Any], Any]:
     """Value-level function encoded by a sharp matrix."""
     rows = m.row_dim.elements()
@@ -165,7 +197,10 @@ def _sharp_fn_of(m: Matrix) -> Callable[[Any], Any]:
     return lambda a: table[a]
 
 
-def _witness(**parts) -> str:
+def _witness(parts: dict[str, Any] | str) -> str:
+    """A counterexample as text: a message, or named matrices (as CSV) and values."""
+    if isinstance(parts, str):
+        return parts
     chunks = []
     for name, value in parts.items():
         if isinstance(value, Matrix):
@@ -190,174 +225,139 @@ def _table_step(rng, keys, out_dim) -> Callable[[Any], Dist]:
 
 
 # ---------------------------------------------------------------------------
-# law bodies: each takes (rng, cfg) and returns (deviation, witness-or-None)
+# shared pieces of the laws
+
+def _gap(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.max(np.abs(x - y)))
+
+
+def _projections(k: Matrix) -> tuple[Matrix, Matrix]:
+    """fst . k and snd . k, for k into a product."""
+    b, c = k.row_dim.left, k.row_dim.right
+    return fst_matrix(b, c) @ k, snd_matrix(b, c) @ k
+
+
+def _reconstruction(k: Matrix) -> Matrix:
+    """k rebuilt from its projections, fst . k paired with snd . k."""
+    return khatri(*_projections(k))
+
+
+def _for_in(n_max: int) -> tuple[Matrix, Matrix]:
+    """The for-loop `in`, [zero | succ], on inputs 0..n_max and the inclusion of 0..n_max-1."""
+    inputs, prev = Range(n_max + 1), Range(n_max)
+    in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, inputs),
+                  from_sharp_fn(lambda j: j + 1, prev, inputs))
+    return in_mat, from_sharp_fn(lambda j: j, prev, inputs)
+
+
+def _khatri_entries(m: Matrix, n: Matrix) -> np.ndarray:
+    """Reference loop: row (i, j) of the Khatri-Rao product is m[i] * n[j]."""
+    rows_m, rows_n = m.row_dim.size, n.row_dim.size
+    out = np.zeros((rows_m * rows_n, m.col_dim.size))
+    for i, j in iter_product(range(rows_m), range(rows_n)):
+        out[i * rows_n + j, :] = m.data[i, :] * n.data[j, :]
+    return out
+
+
+def _kron_entries(m: Matrix, n: Matrix) -> np.ndarray:
+    """Reference loop: entry ((i, j), (s, t)) of the Kronecker product is m[i, s] * n[j, t]."""
+    (rows_m, cols_m), (rows_n, cols_n) = m.data.shape, n.data.shape
+    out = np.zeros((rows_m * rows_n, cols_m * cols_n))
+    for (i, s), (j, t) in iter_product(np.ndindex(rows_m, cols_m), np.ndindex(rows_n, cols_n)):
+        out[i * rows_n + j, s * cols_n + t] = m.data[i, s] * n.data[j, t]
+    return out
+
+
+def _khatri_fusion(M: Matrix, N: Matrix, h: Matrix) -> float:
+    return max_dev(khatri(M, N) @ h, khatri(M @ h, N @ h))
+
+
+def _unzip_natural(functor: FunctorDesc, m: Matrix, n: Matrix) -> float:
+    """unzip is natural: F M (x) F N after unzip equals unzip after F (M (x) N)."""
+    lhs = kron(functor.on_matrix(m), functor.on_matrix(n)) @ unzip(functor, m.col_dim, n.col_dim)
+    rhs = unzip(functor, m.row_dim, n.row_dim) @ functor.on_matrix(kron(m, n))
+    return max_dev(lhs, rhs)
+
+
+def _injective(combine: Callable[[Matrix, Matrix], Matrix], spec: str) -> _LawDef:
+    """combine(M, N) = combine(P, Q) exactly when M = P and N = Q; P and Q are
+    each a copy of M, N or a fresh draw of the same type, with even odds."""
+    draw = _draws(spec)
+
+    def law(rng, cfg):
+        m, n = draw(rng, cfg).values()
+        p = m if rng.random() < 0.5 else random_cs_matrix(rng, m.col_dim, m.row_dim)
+        q = n if rng.random() < 0.5 else random_cs_matrix(rng, n.col_dim, n.row_dim)
+        lhs = matrices_close(combine(m, n), combine(p, q), cfg.tol)
+        rhs = matrices_close(m, p, cfg.tol) and matrices_close(n, q, cfg.tol)
+        return (0.0 if lhs == rhs else 1.0), dict(M=m, N=n, P=p, Q=q)
+    return _LawDef(law)
+
+
+def _tupling(h: Algebra, k: Algebra, inputs) -> tuple[bool, float]:
+    """Whether tupling h and k passes its side condition on 0..5, and the largest
+    TV distance over inputs between the paired mutual fold and the tupled fold."""
+    tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=range(6))
+    devs = (tv_distance(pair(*mutual_eval(_FOR, h, k, n)), cata_eval(_FOR, tupled, n))
+            for n in inputs)
+    return report.holds, max(devs)
+
+
+def _small_functor(rng) -> FunctorDesc:
+    roll = rng.random()
+    if roll < 0.35:
+        return _FOR
+    if roll < 0.7:
+        return ListF(_range(rng, 1, 3))
+    if roll < 0.85:
+        return IdF()
+    return ConstF(_range(rng, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# law bodies take (rng, cfg), fixed instances nothing; both return (deviation, witness parts)
 
 def _law_compose_mult(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    f = random_probfn(rng, b, c)
-    g = random_probfn(rng, a, b)
+    a, b, c = _dims(rng, cfg, 3)
+    f, g = random_probfn(rng, b, c), random_probfn(rng, a, b)
     composed = from_probfn(kleisli(f, g), a, c)
     mf, mg = from_probfn(f), from_probfn(g)
     prod = mf @ mg
-    dev = max_dev(composed, prod)
     naive = np.array([
         [math.fsum(mf.data[i, k] * mg.data[k, j] for k in range(b.size)) for j in range(a.size)]
         for i in range(c.size)
     ])
-    dev = max(dev, float(np.max(np.abs(prod.data - naive))))
-    return dev, _witness(f=mf, g=mg) if dev > cfg.tol else None
-
-
-def _law_junc_fusion(rng, cfg):
-    a, b, c, d = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    m, n = random_cs_matrix(rng, a, c), random_cs_matrix(rng, b, c)
-    p = random_cs_matrix(rng, c, d)
-    dev = max_dev(p @ junc(m, n), junc(p @ m, p @ n))
-    return dev, _witness(P=p, M=m, N=n) if dev > cfg.tol else None
-
-
-def _law_junc_equality(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    m, n = random_cs_matrix(rng, a, c), random_cs_matrix(rng, b, c)
-    p = m if rng.random() < 0.5 else random_cs_matrix(rng, a, c)
-    q = n if rng.random() < 0.5 else random_cs_matrix(rng, b, c)
-    lhs = matrices_close(junc(m, n), junc(p, q), cfg.tol)
-    rhs = matrices_close(m, p, cfg.tol) and matrices_close(n, q, cfg.tol)
-    dev = 0.0 if lhs == rhs else 1.0
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
-
-
-def _law_junc_absorption(rng, cfg):
-    a, b, c, a2, b2 = (random_dim(rng, cfg.max_dim) for _ in range(5))
-    m, n = random_cs_matrix(rng, a, c), random_cs_matrix(rng, b, c)
-    p, q = random_cs_matrix(rng, a2, a), random_cs_matrix(rng, b2, b)
-    dev = max_dev(junc(m, n) @ oplus(p, q), junc(m @ p, n @ q))
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
-
-
-def _law_split_converse(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    m, n = random_cs_matrix(rng, c, a), random_cs_matrix(rng, c, b)
-    dev = max_dev(split(m, n), converse(junc(converse(m), converse(n))))
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
+    return max(max_dev(composed, prod), _gap(prod.data, naive)), dict(f=mf, g=mg)
 
 
 def _law_for_universal(rng, cfg):
-    m_size = int(rng.integers(1, cfg.max_dim + 1))
-    state = Range(m_size)
-    body = random_cs_matrix(rng, state, state)
-    init = random_cs_matrix(rng, UNIT, state)
+    state = _range(rng, 1, cfg.max_dim + 1)
+    body, init = random_cs_matrix(rng, state, state), random_cs_matrix(rng, UNIT, state)
     n_max = int(rng.integers(1, 6))
     k = matrix_cata_fixpoint(body, init, n_max, state)
-    inputs = Range(n_max + 1)
-    prev = Range(n_max)
-    in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, inputs),
-                  from_sharp_fn(lambda j: j + 1, prev, inputs))
-    k_prev = k @ from_sharp_fn(lambda j: j, prev, inputs)
-    dev = max_dev(k @ in_mat, junc(init, body @ k_prev))
+    in_mat, shift = _for_in(n_max)
+    dev = max_dev(k @ in_mat, junc(init, body @ (k @ shift)))
     if not k.is_column_stochastic(cfg.tol):
         dev = max(dev, 1.0)
-    return dev, _witness(body=body, init=init) if dev > cfg.tol else None
-
-
-def _law_divide_conquer(rng, cfg):
-    a, b, c, d = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    m, n = random_cs_matrix(rng, a, c), random_cs_matrix(rng, b, c)
-    p, q = random_cs_matrix(rng, d, a), random_cs_matrix(rng, d, b)
-    dev = max_dev(junc(m, n) @ split(p, q), madd(m @ p, n @ q))
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
-
-
-def _law_khatri_def(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
-    k = khatri(m, n)
-    naive = np.zeros((b.size * c.size, a.size))
-    for i in range(b.size):
-        for j in range(c.size):
-            naive[i * c.size + j, :] = m.data[i, :] * n.data[j, :]
-    dev = float(np.max(np.abs(k.data - naive)))
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
-
-
-def _law_kron_def(rng, cfg):
-    b, y, a, x = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    m, n = random_cs_matrix(rng, b, y), random_cs_matrix(rng, a, x)
-    k = kron(m, n)
-    naive = np.zeros((y.size * x.size, b.size * a.size))
-    for i in range(y.size):
-        for j in range(x.size):
-            for s in range(b.size):
-                for t in range(a.size):
-                    naive[i * x.size + j, s * a.size + t] = m.data[i, s] * n.data[j, t]
-    dev = float(np.max(np.abs(k.data - naive)))
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
-
-
-def _law_vec_khatri_kron(rng, cfg):
-    b, c = random_dim(rng, cfg.max_dim), random_dim(rng, cfg.max_dim)
-    u, v = random_cs_matrix(rng, UNIT, b), random_cs_matrix(rng, UNIT, c)
-    dev = data_dev(khatri(u, v), kron(u, v))
-    return dev, _witness(u=u, v=v) if dev > cfg.tol else None
-
-
-def _law_exchange(rng, cfg):
-    a, b, c, d = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, c, b)
-    p, q = random_cs_matrix(rng, a, d), random_cs_matrix(rng, c, d)
-    dev = max_dev(khatri(junc(m, n), junc(p, q)), junc(khatri(m, p), khatri(n, q)))
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
-
-
-def _law_pairwise_equality(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    k, h = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
-    f = k if rng.random() < 0.5 else random_cs_matrix(rng, a, b)
-    g = h if rng.random() < 0.5 else random_cs_matrix(rng, a, c)
-    lhs = matrices_close(khatri(k, h), khatri(f, g), cfg.tol)
-    rhs = matrices_close(k, f, cfg.tol) and matrices_close(h, g, cfg.tol)
-    dev = 0.0 if lhs == rhs else 1.0
-    return dev, _witness(K=k, H=h, F=f, G=g) if dev > cfg.tol else None
-
-
-def _law_cancellation(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
-    paired = khatri(m, n)
-    dev = max(max_dev(fst_matrix(b, c) @ paired, m), max_dev(snd_matrix(b, c) @ paired, n))
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
+    return dev, dict(body=body, init=init)
 
 
 def _law_weak_product(rng, cfg):
-    b = Range(int(rng.integers(2, max(3, cfg.max_dim // 2) + 1)))
-    c = Range(int(rng.integers(2, max(3, cfg.max_dim // 2) + 1)))
-    a = random_dim(rng, cfg.max_dim)
-    k = random_cs_matrix(rng, a, Product(b, c))
-    recon = khatri(fst_matrix(b, c) @ k, snd_matrix(b, c) @ k)
-    dev = max_dev(recon, k)
-    return dev, _witness(k=k) if dev > cfg.tol else None
+    b, c = (_range(rng, 2, max(3, cfg.max_dim // 2) + 1) for _ in range(2))
+    k = random_cs_matrix(rng, random_dim(rng, cfg.max_dim), Product(b, c))
+    return max_dev(_reconstruction(k), k), dict(k=k)
 
 
-def _weak_product_fixed(cfg):
+def _weak_product_fixed():
     k = reference.counterexample_matrix()
-    b, c = Range(2), Range(3)
-    recon = khatri(fst_matrix(b, c) @ k, snd_matrix(b, c) @ k)
-    dev = max_dev(recon, k)
-    ok = dev >= 0.2
-    return ok, dev, _witness(k=k, reconstruction=recon)
-
-
-def _law_reflection(rng, cfg):
-    b, c = random_dim(rng, cfg.max_dim), random_dim(rng, cfg.max_dim)
-    dev = max_dev(khatri(fst_matrix(b, c), snd_matrix(b, c)), identity(Product(b, c)))
-    return dev, None if dev <= cfg.tol else _witness(B=b, C=c)
+    recon = _reconstruction(k)
+    return max_dev(recon, k), dict(k=k, reconstruction=recon)
 
 
 def _law_index_rules(rng, cfg):
     # rule: y (f.N) x sums N over the f-preimage of y, for sharp f
-    z, y, a = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    f = random_sharp(rng, z, y)
-    n = random_cs_matrix(rng, a, z)
+    z, y, a = _dims(rng, cfg, 3)
+    f, n = random_sharp(rng, z, y), random_cs_matrix(rng, a, z)
     fn = _sharp_fn_of(f)
     lhs = (f @ n).data
     oracle = np.zeros_like(lhs)
@@ -366,121 +366,66 @@ def _law_index_rules(rng, cfg):
             oracle[i, j] = math.fsum(
                 n.data[zi, j] for zi, zv in enumerate(z.elements()) if fn(zv) == yv
             )
-    dev = float(np.max(np.abs(lhs - oracle)))
     # rule: sandwiching N between sharp f and the converse of sharp g reads
     # entries off N directly: entry(y, x) = N(g y, f x)
-    b, c, a2, d = (random_dim(rng, cfg.max_dim) for _ in range(4))
+    b, c, a2, d = _dims(rng, cfg, 4)
     n2 = random_cs_matrix(rng, b, c)
-    f2 = random_sharp(rng, a2, b)
-    g2 = random_sharp(rng, d, c)
+    f2, g2 = random_sharp(rng, a2, b), random_sharp(rng, d, c)
     ffn, gfn = _sharp_fn_of(f2), _sharp_fn_of(g2)
     lhs2 = (converse(g2) @ n2 @ f2).data
     oracle2 = np.zeros_like(lhs2)
     for i, yv in enumerate(d.elements()):
         for j, xv in enumerate(a2.elements()):
             oracle2[i, j] = n2.data[c.index_of(gfn(yv)), b.index_of(ffn(xv))]
-    dev = max(dev, float(np.max(np.abs(lhs2 - oracle2))))
-    return dev, _witness(f=f, N=n) if dev > cfg.tol else None
-
-
-def _random_k_fst_sharp(rng, a: Dim, b: Dim, c: Dim) -> tuple[Matrix, np.ndarray]:
-    data = np.zeros((b.size * c.size, a.size))
-    picks = rng.integers(0, b.size, size=a.size)
-    for j in range(a.size):
-        block = rng.random(c.size) + 1e-9
-        block /= block.sum()
-        data[picks[j] * c.size:(picks[j] + 1) * c.size, j] = block
-    return Matrix(a, Product(b, c), data), picks
-
-
-def _random_k_snd_sharp(rng, a: Dim, b: Dim, c: Dim) -> Matrix:
-    data = np.zeros((b.size * c.size, a.size))
-    picks = rng.integers(0, c.size, size=a.size)
-    for j in range(a.size):
-        block = rng.random(b.size) + 1e-9
-        block /= block.sum()
-        data[picks[j] + c.size * np.arange(b.size), j] = block
-    return Matrix(a, Product(b, c), data)
+    return max(_gap(lhs, oracle), _gap(lhs2, oracle2)), dict(f=f, N=n)
 
 
 def _law_facts_27_28(rng, cfg):
     a = random_dim(rng, cfg.max_dim)
-    b = Range(int(rng.integers(2, cfg.max_dim + 1)))
-    c = Range(int(rng.integers(2, cfg.max_dim + 1)))
-    k, picks = _random_k_fst_sharp(rng, a, b, c)
+    b, c = _range(rng, 2, cfg.max_dim + 1), _range(rng, 2, cfg.max_dim + 1)
+    k, picks = _random_k_sharp(rng, a, b, c, sharp_fst=True)
     dev = 0.0
-    for j in range(a.size):
-        block = slice(picks[j] * c.size, (picks[j] + 1) * c.size)
+    for j, pick in enumerate(picks):
+        block = slice(pick * c.size, (pick + 1) * c.size)
         inside = math.fsum(k.data[block, j])
         outside = math.fsum(k.data[:, j]) - inside
         dev = max(dev, abs(inside - 1.0), abs(outside))
-    return dev, _witness(k=k) if dev > cfg.tol else None
+    return dev, dict(k=k)
 
 
 def _law_sharp_reconstruction(rng, cfg):
     a = random_dim(rng, cfg.max_dim)
-    b = Range(int(rng.integers(2, cfg.max_dim + 1)))
-    c = Range(int(rng.integers(2, cfg.max_dim + 1)))
-    k1, _ = _random_k_fst_sharp(rng, a, b, c)
-    k2 = _random_k_snd_sharp(rng, a, b, c)
-    dev = 0.0
-    for k in (k1, k2):
-        recon = khatri(fst_matrix(b, c) @ k, snd_matrix(b, c) @ k)
-        dev = max(dev, max_dev(recon, k))
-    return dev, _witness(k_fst_sharp=k1, k_snd_sharp=k2) if dev > cfg.tol else None
-
-
-def _law_choice_fusion(rng, cfg):
-    a, b, c, d = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    p = float(rng.random())
-    m, n = random_cs_matrix(rng, b, c), random_cs_matrix(rng, b, c)
-    h = random_cs_matrix(rng, a, b)
-    dev = max_dev(mat_choice(p, m, n) @ h, mat_choice(p, m @ h, n @ h))
-    h2 = random_cs_matrix(rng, c, d)
-    dev = max(dev, max_dev(h2 @ mat_choice(p, m, n), mat_choice(p, h2 @ m, h2 @ n)))
-    return dev, _witness(M=m, N=n, h=h, p=p) if dev > cfg.tol else None
-
-
-def _law_choice_exchange(rng, cfg):
-    a, b, c = (random_dim(rng, cfg.max_dim) for _ in range(3))
-    p = float(rng.random())
-    f, h = random_cs_matrix(rng, a, c), random_cs_matrix(rng, a, c)
-    g, k = random_cs_matrix(rng, b, c), random_cs_matrix(rng, b, c)
-    dev = max_dev(mat_choice(p, junc(f, g), junc(h, k)),
-                  junc(mat_choice(p, f, h), mat_choice(p, g, k)))
-    return dev, _witness(f=f, g=g, h=h, k=k, p=p) if dev > cfg.tol else None
+    b, c = _range(rng, 2, cfg.max_dim + 1), _range(rng, 2, cfg.max_dim + 1)
+    k1, _ = _random_k_sharp(rng, a, b, c, sharp_fst=True)
+    k2, _ = _random_k_sharp(rng, a, b, c, sharp_fst=False)
+    dev = max(max_dev(_reconstruction(k), k) for k in (k1, k2))
+    return dev, dict(k_fst_sharp=k1, k_snd_sharp=k2)
 
 
 def _law_base_choice(rng, cfg):
-    size = int(rng.integers(2, 6))
-    carrier = Range(size)
+    carrier = _range(rng, 2, 6)
     f = random_probfn(rng, carrier, carrier)
-    a, b = (int(rng.integers(0, size)) for _ in range(2))
+    a, b = (int(rng.integers(0, carrier.size)) for _ in range(2))
     p = float(rng.random())
     n = int(rng.integers(0, 7))
-    lhs, rhs = base_choice_split(f, a, b, p, n)
-    dev = tv_distance(lhs, rhs)
-    return dev, _witness(a=a, b=b, p=p, n=n) if dev > cfg.tol else None
+    return tv_distance(*base_choice_split(f, a, b, p, n)), dict(a=a, b=b, p=p, n=n)
 
 
 def _law_fold_fusion(rng, cfg):
     if rng.random() < 0.5:
         # counting after lossy copying vs its consolidated single fold
         p, q = float(rng.random()), float(rng.random())
-        length = int(rng.integers(0, 6))
-        xs = "".join("ab"[int(i)] for i in rng.integers(0, 2, size=length))
+        xs = "".join("ab"[i] for i in _random_list(rng, (0, 1), 5))
         count_alg = fcount_algebra(q)
         post = lambda s: cata_eval(count_alg.functor, count_alg, s)
         report = fold_fusion_check(post, fcat_algebra(p, xs), consolidated_count_algebra(p, q), [xs])
     else:
         # relabeling a fold's carrier through a sharp bijection
-        size = int(rng.integers(2, 5))
-        carrier = Range(size)
+        carrier = _range(rng, 2, 5)
         alphabet = tuple(range(int(rng.integers(1, 4))))
-        keys = [(a, s) for a in alphabet for s in range(size)]
-        g_step = _table_step(rng, keys, carrier)
+        g_step = _table_step(rng, [(a, s) for a in alphabet for s in carrier.elements()], carrier)
         g_alg = Algebra(ListF(), random_dist(rng, carrier), g_step)
-        perm = rng.permutation(size)
+        perm = rng.permutation(carrier.size)
         inv = np.argsort(perm)
         post = lambda s: dirac(int(perm[s]))
         cand = Algebra(
@@ -488,172 +433,113 @@ def _law_fold_fusion(rng, cfg):
             dist_map(g_alg.base, lambda s: int(perm[s])),
             lambda av: dist_map(g_step((av[0], int(inv[av[1]]))), lambda s: int(perm[s])),
         )
-        length = int(rng.integers(0, 5))
-        xs = tuple(int(a) for a in rng.choice(alphabet, size=length)) if length else ()
+        xs = _random_list(rng, alphabet, 4)
         report = fold_fusion_check(post, g_alg, cand, [xs],
-                                   carrier_values=range(size), alphabet=alphabet)
+                                   carrier_values=carrier.elements(), alphabet=alphabet)
     dev = max(report.side_condition_dev, report.pipeline_dev)
-    return dev, f"fold fusion deviation {dev!r}" if dev > cfg.tol else None
+    return dev, f"fold fusion deviation {dev!r}"
 
 
 def _law_cata_universal(rng, cfg):
-    size = int(rng.integers(2, 5))
-    carrier = Range(size)
+    carrier = _range(rng, 2, 5)
     base = random_dist(rng, carrier)
-    base_col = from_probfn(lambda _u: base, UNIT, carrier)
     if rng.random() < 0.5:
-        step = _table_step(rng, list(range(size)), carrier)
-        alg = Algebra(_FOR, base, step)
-        n_max = 8
-        cols = Range(n_max + 1)
-        k = from_probfn(lambda j: cata_eval(_FOR, alg, j), cols, carrier)
-        prev = Range(n_max)
-        in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, cols),
-                      from_sharp_fn(lambda j: j + 1, prev, cols))
-        k_prev = k @ from_sharp_fn(lambda j: j, prev, cols)
-        alg_mat = junc(base_col, from_probfn(step, carrier, carrier))
-        rhs = alg_mat @ oplus(identity(UNIT), k_prev)
+        step = _table_step(rng, list(range(carrier.size)), carrier)
+        alg, step_dom = Algebra(_FOR, base, step), carrier
+        k = from_probfn(lambda j: cata_eval(_FOR, alg, j), Range(9), carrier)
+        in_mat, shift = _for_in(8)
+        rec = k @ shift
     else:
-        alph_size, max_len = 2, 4
-        alphabet = Range(alph_size)
-        lists, shorter = _list_dim(alph_size, max_len), _list_dim(alph_size, max_len - 1)
-        keys = [(a, s) for a in range(alph_size) for s in range(size)]
-        step = _table_step(rng, keys, carrier)
-        alg = Algebra(ListF(alphabet), base, step)
+        alphabet, lists, shorter = Range(2), _list_dim(2, 4), _list_dim(2, 3)
+        step = _table_step(rng, [(a, s) for a in range(2) for s in range(carrier.size)], carrier)
+        alg, step_dom = Algebra(ListF(alphabet), base, step), Product(alphabet, carrier)
         k = from_probfn(lambda xs: cata_eval(alg.functor, alg, xs), lists, carrier)
         in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
                       from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
-        k_short = k @ from_sharp_fn(lambda xs: xs, shorter, lists)
-        alg_mat = junc(base_col, from_probfn(step, Product(alphabet, carrier), carrier))
-        rhs = alg_mat @ oplus(identity(UNIT), kron(identity(alphabet), k_short))
-    dev = max_dev(k @ in_mat, rhs)
-    return dev, f"universal-property deviation {dev!r}" if dev > cfg.tol else None
+        rec = kron(identity(alphabet), k @ from_sharp_fn(lambda xs: xs, shorter, lists))
+    alg_mat = junc(from_probfn(lambda _u: base, UNIT, carrier), from_probfn(step, step_dom, carrier))
+    dev = max_dev(k @ in_mat, alg_mat @ oplus(identity(UNIT), rec))
+    return dev, f"universal-property deviation {dev!r}"
 
 
 def _law_banana_split(rng, cfg):
-    c1, c2 = Range(int(rng.integers(2, 5))), Range(int(rng.integers(2, 5)))
-    if rng.random() < 0.5:
-        functor = _FOR
-        f_alg = Algebra(functor, random_dist(rng, c1), _table_step(rng, c1.elements(), c1))
-        g_alg = Algebra(functor, random_dist(rng, c2), _table_step(rng, c2.elements(), c2))
-        value = int(rng.integers(0, 7))
-    else:
-        alphabet = tuple(range(int(rng.integers(1, 3))))
-        functor = ListF()
-        f_alg = Algebra(functor, random_dist(rng, c1),
-                        _table_step(rng, [(a, s) for a in alphabet for s in c1.elements()], c1))
-        g_alg = Algebra(functor, random_dist(rng, c2),
-                        _table_step(rng, [(a, s) for a in alphabet for s in c2.elements()], c2))
-        length = int(rng.integers(0, 6))
-        value = tuple(int(a) for a in rng.choice(alphabet, size=length)) if length else ()
+    c1, c2 = _range(rng, 2, 5), _range(rng, 2, 5)
+    loop = rng.random() < 0.5
+    alphabet = () if loop else tuple(range(int(rng.integers(1, 3))))
+    functor = _FOR if loop else ListF()
+    algebras = []
+    for c in (c1, c2):
+        keys = c.elements() if loop else [(a, s) for a in alphabet for s in c.elements()]
+        algebras.append(Algebra(functor, random_dist(rng, c), _table_step(rng, keys, c)))
+    f_alg, g_alg = algebras
+    value = int(rng.integers(0, 7)) if loop else _random_list(rng, alphabet, 5)
     combined = banana_split(functor, f_alg, g_alg)
     lhs = pair(cata_eval(functor, f_alg, value), cata_eval(functor, g_alg, value))
-    rhs = cata_eval(functor, combined, value)
-    dev = tv_distance(lhs, rhs)
-    return dev, f"banana-split deviation {dev!r} at input {value!r}" if dev > cfg.tol else None
-
-
-def _small_functor(rng) -> FunctorDesc:
-    roll = rng.random()
-    if roll < 0.35:
-        return _FOR
-    if roll < 0.7:
-        return ListF(Range(int(rng.integers(1, 3))))
-    if roll < 0.85:
-        return IdF()
-    return ConstF(Range(int(rng.integers(1, 3))))
+    dev = tv_distance(lhs, cata_eval(functor, combined, value))
+    return dev, f"banana-split deviation {dev!r} at input {value!r}"
 
 
 def _law_unzip_naturality(rng, cfg):
-    functor = _FOR if rng.random() < 0.5 else ListF(Range(int(rng.integers(1, 3))))
-    b, b2, c, c2 = (Range(int(rng.integers(1, 4))) for _ in range(4))
+    functor = _FOR if rng.random() < 0.5 else ListF(_range(rng, 1, 3))
+    b, b2, c, c2 = (_range(rng, 1, 4) for _ in range(4))
     m, n = random_cs_matrix(rng, b, b2), random_cs_matrix(rng, c, c2)
-    lhs = kron(functor.on_matrix(m), functor.on_matrix(n)) @ unzip(functor, b, c)
-    rhs = unzip(functor, b2, c2) @ functor.on_matrix(kron(m, n))
-    dev = max_dev(lhs, rhs)
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
-
-
-def _law_pairing_absorption(rng, cfg):
-    a, b, c, d, e = (random_dim(rng, cfg.max_dim) for _ in range(5))
-    n, m = random_cs_matrix(rng, a, b), random_cs_matrix(rng, b, c)
-    q, p = random_cs_matrix(rng, a, d), random_cs_matrix(rng, d, e)
-    dev = max_dev(khatri(m @ n, p @ q), kron(m, p) @ khatri(n, q))
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
+    return _unzip_natural(functor, m, n), dict(M=m, N=n)
 
 
 def _law_unzip_corollary(rng, cfg):
-    functor = _FOR if rng.random() < 0.5 else ListF(Range(int(rng.integers(1, 3))))
-    a, b, c = (Range(int(rng.integers(1, 4))) for _ in range(3))
+    functor = _FOR if rng.random() < 0.5 else ListF(_range(rng, 1, 3))
+    a, b, c = (_range(rng, 1, 4) for _ in range(3))
     m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
     lhs = unzip(functor, b, c) @ functor.on_matrix(khatri(m, n))
     rhs = khatri(functor.on_matrix(m), functor.on_matrix(n))
-    dev = max_dev(lhs, rhs)
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
-
-
-def _law_khatri_fusion_sharp(rng, cfg):
-    a, b, c, z = (random_dim(rng, cfg.max_dim) for _ in range(4))
-    m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
-    h = random_sharp(rng, z, a)
-    dev = max_dev(khatri(m, n) @ h, khatri(m @ h, n @ h))
-    return dev, _witness(M=m, N=n, h=h) if dev > cfg.tol else None
+    return max_dev(lhs, rhs), dict(M=m, N=n)
 
 
 def _law_khatri_fusion_nonsharp(rng, cfg):
-    a = Range(int(rng.integers(2, cfg.max_dim + 1)))
-    b = Range(int(rng.integers(2, 4)))
-    c = Range(int(rng.integers(2, 4)))
+    a, b, c = _range(rng, 2, cfg.max_dim + 1), _range(rng, 2, 4), _range(rng, 2, 4)
     z = random_dim(rng, cfg.max_dim)
     m, n = random_cs_matrix(rng, a, b), random_cs_matrix(rng, a, c)
     h = random_cs_matrix(rng, z, a)
     if h.is_sharp():
         return 0.0, None
-    dev = max_dev(khatri(m, n) @ h, khatri(m @ h, n @ h))
-    return dev, _witness(M=m, N=n, h=h) if dev > cfg.tol else None
+    return _khatri_fusion(m, n, h), dict(M=m, N=n, h=h)
 
 
 def _law_unzip_comp(rng, cfg):
     outer, inner = _small_functor(rng), _small_functor(rng)
     functor = CompF(outer, inner)
-    b, c = Range(int(rng.integers(1, 3))), Range(int(rng.integers(1, 3)))
+    b, c = _range(rng, 1, 3), _range(rng, 1, 3)
     via = compose(unzip(outer, inner.on_dim(b), inner.on_dim(c)),
                   outer.on_matrix(unzip(inner, b, c)))
     dev = data_dev(unzip(functor, b, c), via)
-    b2, c2 = Range(int(rng.integers(1, 3))), Range(int(rng.integers(1, 3)))
+    b2, c2 = _range(rng, 1, 3), _range(rng, 1, 3)
     m, n = random_cs_matrix(rng, b, b2), random_cs_matrix(rng, c, c2)
-    lhs = kron(functor.on_matrix(m), functor.on_matrix(n)) @ unzip(functor, b, c)
-    rhs = unzip(functor, b2, c2) @ functor.on_matrix(kron(m, n))
-    dev = max(dev, max_dev(lhs, rhs))
-    return dev, _witness(M=m, N=n) if dev > cfg.tol else None
+    return max(dev, _unzip_natural(functor, m, n)), dict(M=m, N=n)
 
 
 def _law_unzip_sum(rng, cfg):
     g, h = _small_functor(rng), _small_functor(rng)
     functor = SumF(g, h)
-    b, c = Range(int(rng.integers(1, 3))), Range(int(rng.integers(1, 3)))
-    bc = Product(b, c)
-    i1 = inj_left(g.on_dim(bc), h.on_dim(bc))
-    i2 = inj_right(g.on_dim(bc), h.on_dim(bc))
-    tb1 = kron(inj_left(g.on_dim(b), h.on_dim(b)), inj_left(g.on_dim(c), h.on_dim(c)))
-    tb2 = kron(inj_right(g.on_dim(b), h.on_dim(b)), inj_right(g.on_dim(c), h.on_dim(c)))
-    dev = max_dev(unzip(functor, b, c) @ i1, tb1 @ unzip(g, b, c))
-    dev = max(dev, max_dev(unzip(functor, b, c) @ i2, tb2 @ unzip(h, b, c)))
+    b, c = _range(rng, 1, 3), _range(rng, 1, 3)
+    dev = 0.0
+    for inj, summand in ((inj_left, g), (inj_right, h)):
+        into = lambda d: inj(g.on_dim(d), h.on_dim(d))
+        lhs = unzip(functor, b, c) @ into(Product(b, c))
+        dev = max(dev, max_dev(lhs, kron(into(b), into(c)) @ unzip(summand, b, c)))
     # junc/oplus Khatri identity over arbitrary CS matrices
-    a, a2 = random_dim(rng, cfg.max_dim), random_dim(rng, cfg.max_dim)
-    bb, bb2, cc, cc2 = (Range(int(rng.integers(1, 4))) for _ in range(4))
+    a, a2 = _dims(rng, cfg, 2)
+    bb, bb2, cc, cc2 = (_range(rng, 1, 4) for _ in range(4))
     m, n = random_cs_matrix(rng, a, bb), random_cs_matrix(rng, a, cc)
     p, q = random_cs_matrix(rng, a2, bb2), random_cs_matrix(rng, a2, cc2)
     j1 = kron(inj_left(bb, bb2), inj_left(cc, cc2))
     j2 = kron(inj_right(bb, bb2), inj_right(cc, cc2))
     lhs = junc(j1 @ khatri(m, n), j2 @ khatri(p, q))
     rhs = khatri(oplus(m, p), oplus(n, q))
-    dev = max(dev, max_dev(lhs, rhs))
-    return dev, _witness(M=m, N=n, P=p, Q=q) if dev > cfg.tol else None
+    return max(dev, max_dev(lhs, rhs)), dict(M=m, N=n, P=p, Q=q)
 
 
 def _law_mutual_recursion(rng, cfg):
-    c1, c2 = Range(int(rng.integers(2, 5))), Range(int(rng.integers(2, 5)))
+    c1, c2 = _range(rng, 2, 5), _range(rng, 2, 5)
     states = [(x, y) for x in c1.elements() for y in c2.elements()]
     sharp_second = rng.random() < 0.5
     if sharp_second:
@@ -666,24 +552,16 @@ def _law_mutual_recursion(rng, cfg):
         h = Algebra(_FOR, dirac(int(rng.integers(0, c1.size))),
                     lambda s, phi=phi: dirac(int(phi[s[0]])))
         k = Algebra(_FOR, random_dist(rng, c2), _table_step(rng, states, c2))
-    tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=range(6))
-    dev = 0.0 if report.holds else 1.0
-    for n in range(6):
-        lhs = pair(*mutual_eval(_FOR, h, k, n))
-        rhs = cata_eval(_FOR, tupled, n)
-        dev = max(dev, tv_distance(lhs, rhs))
-    return dev, f"tupling deviation {dev!r}" if dev > cfg.tol else None
+    holds, dev = _tupling(h, k, range(6))
+    dev = max(0.0 if holds else 1.0, dev)
+    return dev, f"tupling deviation {dev!r}"
 
 
-def _law_mutual_recursion_fib(rng, cfg):
-    h, k = fib_algebras(0.1)
-    tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=range(6))
-    if report.holds:
+def _mutual_recursion_fib_fixed():
+    holds, dev = _tupling(*fib_algebras(0.1), [5])
+    if holds:
         return 0.0, None
-    lhs = pair(*mutual_eval(_FOR, h, k, 5))
-    rhs = cata_eval(_FOR, tupled, 5)
-    dev = tv_distance(lhs, rhs)
-    return dev, f"pairing vs tupled fold differ by TV {dev!r} at n=5" if dev > cfg.tol else None
+    return dev, f"pairing vs tupled fold differ by TV {dev!r} at n=5"
 
 
 # ---------------------------------------------------------------------------
@@ -691,45 +569,94 @@ def _law_mutual_recursion_fib(rng, cfg):
 
 @dataclass(frozen=True)
 class _LawDef:
-    fn: Callable
+    """A law: a body for random instances, a fixed instance run once, or both."""
+
+    fn: Callable | None
     expected_fail: bool = False
-    fixed: Callable | None = None
+    fixed: Callable[[], tuple] | None = None
 
 
+def _draws(spec: str) -> Callable:
+    """Drawer for a spec of NAME:DIMS tokens. Every dim letter is drawn first, in
+    alphabetical order ("1" is the unit dim); then each token in order: no
+    letter is a uniform scalar in [0, 1), one letter names that dim, two are a
+    CS matrix from the first dim to the second (a sharp one if ":sharp" follows).
+    """
+    tokens = [token.split(":") for token in spec.split()]
+    letters = sorted({ch for _, dims, *_ in tokens for ch in dims} - {"1"})
+
+    def draw(rng, cfg) -> dict[str, Any]:
+        dims = dict(zip(letters, _dims(rng, cfg, len(letters))), **{"1": UNIT})
+        out: dict[str, Any] = {}
+        for name, spelled, *kind in tokens:
+            if not spelled:
+                out[name] = float(rng.random())
+            elif len(spelled) == 1:
+                out[name] = dims[spelled]
+            else:
+                random_matrix = random_sharp if kind == ["sharp"] else random_cs_matrix
+                out[name] = random_matrix(rng, dims[spelled[0]], dims[spelled[1]])
+        return out
+    return draw
+
+
+def _row(spec: str, dev: Callable[..., float]) -> _LawDef:
+    """A law whose instance is drawn from spec and whose deviation is dev(**draws)."""
+    draw = _draws(spec)
+
+    def law(rng, cfg):
+        parts = draw(rng, cfg)
+        return dev(**parts), parts
+    return _LawDef(law)
+
+
+# The lambdas look combinators up at call time, so rebinding a module name reaches every law.
 CATALOGUE: dict[str, _LawDef] = {
     "compose_mult": _LawDef(_law_compose_mult),
-    "junc_fusion": _LawDef(_law_junc_fusion),
-    "junc_equality": _LawDef(_law_junc_equality),
-    "junc_absorption": _LawDef(_law_junc_absorption),
-    "split_converse": _LawDef(_law_split_converse),
+    "junc_fusion": _row("M:ac N:bc P:cd",
+                        lambda M, N, P: max_dev(P @ junc(M, N), junc(P @ M, P @ N))),
+    "junc_equality": _injective(lambda m, n: junc(m, n), "M:ac N:bc"),
+    "junc_absorption": _row("M:ac N:bc P:da Q:eb", lambda M, N, P, Q: max_dev(
+        junc(M, N) @ oplus(P, Q), junc(M @ P, N @ Q))),
+    "split_converse": _row("M:ca N:cb", lambda M, N: max_dev(
+        split(M, N), converse(junc(converse(M), converse(N))))),
     "for_universal": _LawDef(_law_for_universal),
-    "divide_conquer": _LawDef(_law_divide_conquer),
-    "khatri_def": _LawDef(_law_khatri_def),
-    "kron_def": _LawDef(_law_kron_def),
-    "vec_khatri_kron": _LawDef(_law_vec_khatri_kron),
-    "exchange": _LawDef(_law_exchange),
-    "pairwise_equality": _LawDef(_law_pairwise_equality),
-    "cancellation": _LawDef(_law_cancellation),
+    "divide_conquer": _row("M:ac N:bc P:da Q:db", lambda M, N, P, Q: max_dev(
+        junc(M, N) @ split(P, Q), madd(M @ P, N @ Q))),
+    "khatri_def": _row("M:ab N:ac",
+                       lambda M, N: _gap(khatri(M, N).data, _khatri_entries(M, N))),
+    "kron_def": _row("M:ab N:cd", lambda M, N: _gap(kron(M, N).data, _kron_entries(M, N))),
+    "vec_khatri_kron": _row("u:1a v:1b", lambda u, v: data_dev(khatri(u, v), kron(u, v))),
+    "exchange": _row("M:ab N:cb P:ad Q:cd", lambda M, N, P, Q: max_dev(
+        khatri(junc(M, N), junc(P, Q)), junc(khatri(M, P), khatri(N, Q)))),
+    "pairwise_equality": _injective(lambda m, n: khatri(m, n), "M:ab N:ac"),
+    "cancellation": _row("M:ab N:ac",
+                         lambda M, N: max(map(max_dev, _projections(khatri(M, N)), (M, N)))),
     "weak_product": _LawDef(_law_weak_product, expected_fail=True, fixed=_weak_product_fixed),
-    "reflection": _LawDef(_law_reflection),
+    "reflection": _row("B:a C:b", lambda B, C: max_dev(
+        khatri(fst_matrix(B, C), snd_matrix(B, C)), identity(Product(B, C)))),
     "index_rules": _LawDef(_law_index_rules),
     "facts_27_28": _LawDef(_law_facts_27_28),
     "sharp_reconstruction": _LawDef(_law_sharp_reconstruction),
-    "choice_fusion": _LawDef(_law_choice_fusion),
-    "choice_exchange": _LawDef(_law_choice_exchange),
+    "choice_fusion": _row("p: M:bc N:bc h:ab h2:cd", lambda p, M, N, h, h2: max(
+        max_dev(mat_choice(p, M, N) @ h, mat_choice(p, M @ h, N @ h)),
+        max_dev(h2 @ mat_choice(p, M, N), mat_choice(p, h2 @ M, h2 @ N)))),
+    "choice_exchange": _row("p: f:ac h:ac g:bc k:bc", lambda p, f, h, g, k: max_dev(
+        mat_choice(p, junc(f, g), junc(h, k)), junc(mat_choice(p, f, h), mat_choice(p, g, k)))),
     "base_choice": _LawDef(_law_base_choice),
     "fold_fusion": _LawDef(_law_fold_fusion),
     "cata_universal": _LawDef(_law_cata_universal),
     "unzip_naturality": _LawDef(_law_unzip_naturality),
     "unzip_corollary": _LawDef(_law_unzip_corollary),
-    "pairing_absorption": _LawDef(_law_pairing_absorption),
-    "khatri_fusion_sharp": _LawDef(_law_khatri_fusion_sharp),
+    "pairing_absorption": _row("N:ab M:bc Q:ad P:de", lambda N, M, Q, P: max_dev(
+        khatri(M @ N, P @ Q), kron(M, P) @ khatri(N, Q))),
+    "khatri_fusion_sharp": _row("M:ab N:ac h:da:sharp", _khatri_fusion),
     "khatri_fusion_nonsharp": _LawDef(_law_khatri_fusion_nonsharp, expected_fail=True),
     "unzip_comp": _LawDef(_law_unzip_comp),
     "unzip_sum": _LawDef(_law_unzip_sum),
     "banana_split": _LawDef(_law_banana_split),
     "mutual_recursion": _LawDef(_law_mutual_recursion),
-    "mutual_recursion_fib": _LawDef(_law_mutual_recursion_fib, expected_fail=True),
+    "mutual_recursion_fib": _LawDef(None, expected_fail=True, fixed=_mutual_recursion_fib_fixed),
 }
 
 
@@ -743,35 +670,34 @@ def _trial_rng(cfg: TrialConfig, law_index: int, trial: int) -> np.random.Genera
 
 
 def check_law(name: str, cfg: TrialConfig) -> LawReport:
-    """Run one catalogue law for cfg.trials seeded random instances."""
+    """Run one catalogue law on cfg.trials seeded random instances, on its fixed
+    instance (one trial when it has no random ones), or on both. An expected-fail
+    law must be violated by each; the witness is the fixed instance's, if it has one."""
     try:
         spec = CATALOGUE[name]
     except KeyError:
         raise UnknownLawError(f"unknown law {name!r}; known: {', '.join(CATALOGUE)}") from None
     law_index = list(CATALOGUE).index(name)
-    worst = 0.0
-    witness: str | None = None
-    violations = 0
-    for t in range(cfg.trials):
-        dev, wit = spec.fn(_trial_rng(cfg, law_index, t), cfg)
-        if dev > cfg.tol:
-            violations += 1
-            if witness is None:
-                witness = wit
-        worst = max(worst, dev)
+    sources = []
+    if spec.fn is not None:
+        sources.append(spec.fn(_trial_rng(cfg, law_index, t), cfg) for t in range(cfg.trials))
+    if spec.fixed is not None:
+        sources.append([spec.fixed()])
+    worst, witness, each_violated = 0.0, None, True
+    for runs in sources:
+        first: str | None = None
+        for dev, parts in runs:
+            if dev > cfg.tol and first is None:
+                first = _witness(parts)
+            worst = max(worst, dev)
+        each_violated = each_violated and first is not None
+        witness = witness if first is None else first
     if spec.expected_fail:
-        found = violations >= 1
-        if spec.fixed is not None:
-            fixed_ok, fixed_dev, fixed_wit = spec.fixed(cfg)
-            found = found and fixed_ok
-            worst = max(worst, fixed_dev)
-            witness = fixed_wit
-        status = "expected-fail" if found else "fail"
+        status = "expected-fail" if each_violated else "fail"
     else:
         status = "pass" if worst <= cfg.tol else "fail"
-        if status == "pass":
-            witness = None
-    return LawReport(name, cfg.trials, worst, status, witness)
+    trials = cfg.trials if spec.fn is not None else 1
+    return LawReport(name, trials, worst, status, witness)
 
 
 def check_all(cfg: TrialConfig) -> list[LawReport]:

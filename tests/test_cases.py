@@ -89,7 +89,8 @@ def test_bad_rates_are_rejected_at_every_input_size():
 
 def test_sums_reject_elements_that_are_not_real_numbers():
     for xs, bad in [("abc", "'a'"), ([1, "x"], "'x'"), ((2, True), "True"),
-                    ([1.5, math.nan], "nan"), ([None], "None")]:
+                    ([1.5, math.nan], "nan"), ([None], "None"),
+                    ([10**400, 2.5], str(10**400))]:
         for fn, args in [(fsum, (0.1,)), (favg_pair, (0.1, 0.2)), (favg_split, (0.1, 0.2))]:
             with pytest.raises(DomainError, match=f"element {bad} of input"):
                 fn(*args, xs)

@@ -1,17 +1,28 @@
 """CLI tests: output formats, exit codes, the reproduction report."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from probfold.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m probfold.cli ARGV` in a child process that imports this checkout's src."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "probfold.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 # --- cases ---------------------------------------------------------------------
@@ -49,10 +60,7 @@ def test_cases_carrier_violation_exits_1(capsys):
 
 def test_cases_non_number_sum_input_is_one_error_line():
     for name in ("fsum", "favg_pair", "favg_split"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "probfold.cli", "cases", name, "--p", "0.1", "--input", "abc"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("cases", name, "--p", "0.1", "--input", "abc")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "error: element 'a' of input 'abc' is not a real number\n"
@@ -163,6 +171,9 @@ def test_laws_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["laws", "--trials", "0"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["laws", "--tol", "inf"])
+    assert exc.value.code == 2
 
 
 # --- report ----------------------------------------------------------------------
@@ -196,9 +207,6 @@ def test_report_unwritable_path_exits_1(tmp_path, capsys):
 # --- console entry point -----------------------------------------------------------
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "probfold.cli", "cases", "mfib", "--p", "0.1", "--n", "4"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("cases", "mfib", "--p", "0.1", "--n", "4")
     assert proc.returncode == 0
     assert proc.stdout.startswith("3\t81.0%")
