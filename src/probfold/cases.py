@@ -159,6 +159,14 @@ def _check_reals(xs) -> None:
                 raise DomainError(f"element {a!r} of input {xs!r} is not a real number")
 
 
+def _check_sums(xs, sums) -> None:
+    """Reject folded sums outside the float range, naming the input. A float
+    sum that overflows stays inf or becomes nan at every later step, so
+    checking the folded results once catches every path that overflowed."""
+    if not all(abs(s) <= sys.float_info.max for s in sums):
+        raise DomainError(f"a sum of input {xs!r} leaves the float range")
+
+
 def consolidated_count_algebra(p: float, q: float) -> Algebra:
     """Closed form of counting after lossy copying: stay put with probability
     p + q - p*q, count with probability (1-p)*(1-q)."""
@@ -179,7 +187,9 @@ def fcount(q: float, xs) -> Dist:
 
 def fsum(p: float, xs) -> Dist:
     _check_reals(xs)
-    return cata_eval(_LIST, fsum_algebra(p), xs)
+    d = cata_eval(_LIST, fsum_algebra(p), xs)
+    _check_sums(xs, d.support)
+    return d
 
 
 def pipeline_count_cat(p: float, q: float, xs) -> Dist:
@@ -202,7 +212,9 @@ def favg_split(p: float, q: float, xs) -> Dist:
     """Single fold on (total, count) pairs, by banana-split."""
     _check_reals(xs)
     combined = banana_split(_LIST, fsum_algebra(p), fcount_algebra(q))
-    return cata_eval(_LIST, combined, xs)
+    d = cata_eval(_LIST, combined, xs)
+    _check_sums(xs, (total for total, _count in d.support))
+    return d
 
 
 @dataclass(frozen=True)

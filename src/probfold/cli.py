@@ -123,8 +123,8 @@ def _table_lines(m: Matrix, header: bool) -> list[str]:
 def cmd_matrix(parser, args) -> int:
     _check_rate(parser, args.p, "--p")
     _check_rate(parser, args.q, "--q")
-    if args.n < 0 or args.m < 0:
-        print("error: --n and --m must be naturals", file=sys.stderr)
+    if not (0 <= args.n < sys.maxsize and 0 <= args.m < sys.maxsize):  # n+1 columns, m+1 rows
+        print(f"error: --n and --m must be naturals below {sys.maxsize}", file=sys.stderr)
         return 1
     try:
         if args.name == "fneg":

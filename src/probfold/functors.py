@@ -11,6 +11,7 @@ needs to know about its shape.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Iterable
@@ -77,6 +78,8 @@ class ForLoopF(FunctorDesc):
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DomainError(f"input {value!r} is not a natural number")
+        if value > sys.maxsize:
+            raise DomainError(f"loop count {value} exceeds the largest supported count {sys.maxsize}")
         return repeat(step, value)
 
     def on_value(self, fn: Callable, v: Any) -> Any:

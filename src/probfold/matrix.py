@@ -4,12 +4,20 @@ Columns index inputs, rows index outputs, so a column-stochastic (CS) matrix
 is exactly a probabilistic function between its dimensions. Dimension checks
 are structural and failures name both dims. Entries are nonnegative float64;
 storage is dense numpy (desk-scale dims only, by design).
+
+Data from outside is copied and checked entry by entry. A combinator's result
+is built from matrices that passed those checks, so it is checked once: ops
+that compute new values only check that no entry overflowed to inf, and pure
+rearrangements are not checked at all. The structural matrices (identities,
+``bang``, projections, injections) depend only on their dims and are shared,
+read-only values, memoised per dim.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -18,6 +26,9 @@ from .dims import Dim, Product, Sum, UNIT
 from .dist import Dist, DomainError, ProbFn
 
 CS_TOL = 1e-9
+# entries per memoised structural-matrix function: a constant bound, so a large
+# matrix a caller once built is not pinned for the life of the process
+_MEMO_SIZE = 256
 
 
 class DimensionError(TypeError):
@@ -28,20 +39,42 @@ class TruncationError(ValueError):
     """Probability mass escaped a declared output dimension."""
 
 
+class _Fresh:
+    """A combinator's result array: float64, of the result's shape, owned by
+    (or a read-only view shared with) the new matrix, with entries built from
+    checked matrices. ``Matrix`` takes it without a copy or a shape check."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _computed(arr: np.ndarray) -> _Fresh:
+    """Products and sums of finite nonnegative entries stay nonnegative but
+    can still overflow to inf: the one check a computed result needs."""
+    if arr.size and not float(arr.max()) < np.inf:
+        raise DomainError(_bad_entries(arr))
+    return _Fresh(arr)
+
+
 class Matrix:
     """An immutable real matrix typed by (column Dim -> row Dim)."""
 
     __slots__ = ("col_dim", "row_dim", "data")
 
     def __init__(self, col_dim: Dim, row_dim: Dim, data):
-        arr = np.array(data, dtype=float)
-        if arr.shape != (row_dim.size, col_dim.size):
-            raise DimensionError(
-                f"data shape {arr.shape} does not match {row_dim.size}x{col_dim.size} "
-                f"for {col_dim} -> {row_dim}"
-            )
-        if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < np.inf):
-            raise DomainError(_bad_entries(arr))
+        if type(data) is _Fresh:
+            arr = data.array
+        else:
+            arr = np.array(data, dtype=float)
+            if arr.shape != (row_dim.size, col_dim.size):
+                raise DimensionError(
+                    f"data shape {arr.shape} does not match {row_dim.size}x{col_dim.size} "
+                    f"for {col_dim} -> {row_dim}"
+                )
+            if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < np.inf):
+                raise DomainError(_bad_entries(arr))
         arr.setflags(write=False)
         self.col_dim = col_dim
         self.row_dim = row_dim
@@ -111,43 +144,45 @@ def csv_number(x: float) -> str:
     return repr(float(x))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def identity(dim: Dim) -> Matrix:
-    return Matrix(dim, dim, np.eye(dim.size))
+    return Matrix(dim, dim, _Fresh(np.eye(dim.size)))
 
 
 def zeros(col_dim: Dim, row_dim: Dim) -> Matrix:
-    return Matrix(col_dim, row_dim, np.zeros((row_dim.size, col_dim.size)))
+    return Matrix(col_dim, row_dim, _Fresh(np.zeros((row_dim.size, col_dim.size))))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def bang(dim: Dim) -> Matrix:
     """The all-ones row vector A -> 1 (the sharp constant function)."""
-    return Matrix(dim, UNIT, np.ones((1, dim.size)))
+    return Matrix(dim, UNIT, _Fresh(np.ones((1, dim.size))))
 
 
 def compose(m: Matrix, n: Matrix) -> Matrix:
     """Matrix composition m . n; requires cols(m) == rows(n)."""
     if m.col_dim != n.row_dim:
         raise DimensionError(f"cannot compose: {m.col_dim} (cols of left) != {n.row_dim} (rows of right)")
-    return Matrix(n.col_dim, m.row_dim, m.data @ n.data)
+    return Matrix(n.col_dim, m.row_dim, _computed(m.data @ n.data))
 
 
 def converse(m: Matrix) -> Matrix:
     """Transpose; swaps rows with columns."""
-    return Matrix(m.row_dim, m.col_dim, m.data.T)
+    return Matrix(m.row_dim, m.col_dim, _Fresh(m.data.T))
 
 
 def junc(m: Matrix, n: Matrix) -> Matrix:
     """Glue side by side: [m|n] : Sum(A,B) -> C, m's columns first."""
     if m.row_dim != n.row_dim:
         raise DimensionError(f"junc needs equal row dims: {m.row_dim} != {n.row_dim}")
-    return Matrix(Sum(m.col_dim, n.col_dim), m.row_dim, np.hstack([m.data, n.data]))
+    return Matrix(Sum(m.col_dim, n.col_dim), m.row_dim, _Fresh(np.hstack([m.data, n.data])))
 
 
 def split(m: Matrix, n: Matrix) -> Matrix:
     """Stack: C -> Sum(A,B) with m's rows above n's (the converse dual of junc)."""
     if m.col_dim != n.col_dim:
         raise DimensionError(f"split needs equal column dims: {m.col_dim} != {n.col_dim}")
-    return Matrix(m.col_dim, Sum(m.row_dim, n.row_dim), np.vstack([m.data, n.data]))
+    return Matrix(m.col_dim, Sum(m.row_dim, n.row_dim), _Fresh(np.vstack([m.data, n.data])))
 
 
 def oplus(m: Matrix, n: Matrix) -> Matrix:
@@ -157,12 +192,13 @@ def oplus(m: Matrix, n: Matrix) -> Matrix:
     out = np.zeros((rows, cols))
     out[: m.shape[0], : m.shape[1]] = m.data
     out[m.shape[0] :, m.shape[1] :] = n.data
-    return Matrix(Sum(m.col_dim, n.col_dim), Sum(m.row_dim, n.row_dim), out)
+    return Matrix(Sum(m.col_dim, n.col_dim), Sum(m.row_dim, n.row_dim), _Fresh(out))
 
 
 def kron(m: Matrix, n: Matrix) -> Matrix:
     """Kronecker product: entry((y,x),(b,a)) = m(y,b) * n(x,a)."""
-    return Matrix(Product(m.col_dim, n.col_dim), Product(m.row_dim, n.row_dim), np.kron(m.data, n.data))
+    return Matrix(Product(m.col_dim, n.col_dim), Product(m.row_dim, n.row_dim),
+                  _computed(np.kron(m.data, n.data)))
 
 
 def khatri(m: Matrix, n: Matrix) -> Matrix:
@@ -172,7 +208,7 @@ def khatri(m: Matrix, n: Matrix) -> Matrix:
     b, a = m.shape
     c, _ = n.shape
     data = (m.data[:, None, :] * n.data[None, :, :]).reshape(b * c, a)
-    return Matrix(m.col_dim, Product(m.row_dim, n.row_dim), data)
+    return Matrix(m.col_dim, Product(m.row_dim, n.row_dim), _computed(data))
 
 
 def hadamard(m: Matrix, n: Matrix) -> Matrix:
@@ -181,7 +217,7 @@ def hadamard(m: Matrix, n: Matrix) -> Matrix:
         raise DimensionError(
             f"hadamard needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
         )
-    return Matrix(m.col_dim, m.row_dim, m.data * n.data)
+    return Matrix(m.col_dim, m.row_dim, _computed(m.data * n.data))
 
 
 def madd(m: Matrix, n: Matrix) -> Matrix:
@@ -190,7 +226,7 @@ def madd(m: Matrix, n: Matrix) -> Matrix:
         raise DimensionError(
             f"matrix sum needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
         )
-    return Matrix(m.col_dim, m.row_dim, m.data + n.data)
+    return Matrix(m.col_dim, m.row_dim, _computed(m.data + n.data))
 
 
 def mat_choice(p: float, m: Matrix, n: Matrix) -> Matrix:
@@ -202,9 +238,10 @@ def mat_choice(p: float, m: Matrix, n: Matrix) -> Matrix:
         raise DimensionError(
             f"choice needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
         )
-    return Matrix(m.col_dim, m.row_dim, p * m.data + (1.0 - p) * n.data)
+    return Matrix(m.col_dim, m.row_dim, _computed(p * m.data + (1.0 - p) * n.data))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def fst_matrix(b: Dim, c: Dim) -> Matrix:
     """Projection Product(B,C) -> B, as identity(B) kron bang(C).
 
@@ -214,23 +251,26 @@ def fst_matrix(b: Dim, c: Dim) -> Matrix:
     return relabel(kron(identity(b), bang(c)), row_dim=b)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def snd_matrix(b: Dim, c: Dim) -> Matrix:
     """Projection Product(B,C) -> C, as bang(B) kron identity(C), rows relabeled."""
     return relabel(kron(bang(b), identity(c)), row_dim=c)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def inj_left(a: Dim, b: Dim) -> Matrix:
     """Sharp injection A -> Sum(A,B)."""
     out = np.zeros((a.size + b.size, a.size))
     out[: a.size, :] = np.eye(a.size)
-    return Matrix(a, Sum(a, b), out)
+    return Matrix(a, Sum(a, b), _Fresh(out))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def inj_right(a: Dim, b: Dim) -> Matrix:
     """Sharp injection B -> Sum(A,B)."""
     out = np.zeros((a.size + b.size, b.size))
     out[a.size :, :] = np.eye(b.size)
-    return Matrix(b, Sum(a, b), out)
+    return Matrix(b, Sum(a, b), _Fresh(out))
 
 
 def from_sharp_fn(fn: Callable[[Any], Any], col_dim: Dim, row_dim: Dim) -> Matrix:
@@ -296,7 +336,7 @@ def relabel(m: Matrix, col_dim: Dim | None = None, row_dim: Dim | None = None) -
         raise DimensionError(
             f"relabel must preserve sizes: {m.col_dim}->{m.row_dim} vs {col_dim}->{row_dim}"
         )
-    return Matrix(col_dim, row_dim, m.data)
+    return Matrix(col_dim, row_dim, _Fresh(m.data))
 
 
 def to_probfn(m: Matrix) -> ProbFn:

@@ -9,7 +9,9 @@ side conditions or need none.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -19,6 +21,7 @@ from .dims import Dim, Range, UNIT
 from .dist import Dist, DomainError, bind, choice, dirac, marginals, pair, tv_distance
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
+    _MEMO_SIZE,
     CS_TOL,
     Matrix,
     TruncationError,
@@ -87,6 +90,8 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise DomainError(f"n_max must be a natural number, got {n_max!r}")
+    if n_max >= sys.maxsize:  # columns 0..n_max must stay indexable
+        raise DomainError(f"n_max must be below {sys.maxsize}, got {n_max}")
     if body.col_dim != m_dim or body.row_dim != m_dim:
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
@@ -116,8 +121,12 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     return k
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def unzip(functor: FunctorDesc, b: Dim, c: Dim) -> Matrix:
-    """The sharp arrow F(B*C) -> (F B)*(F C) pairing the functorial projections."""
+    """The sharp arrow F(B*C) -> (F B)*(F C) pairing the functorial projections.
+
+    It depends only on its arguments, so it is memoised like the structural
+    matrices it is built from."""
     return khatri(functor.on_matrix(fst_matrix(b, c)), functor.on_matrix(snd_matrix(b, c)))
 
 

@@ -97,6 +97,17 @@ def test_sums_reject_elements_that_are_not_real_numbers():
     assert fsum(0.0, (1, 2.5, -4)) == dirac(-0.5)
 
 
+def test_sums_that_leave_the_float_range_are_rejected():
+    for xs in ([1e308, 1e308], (-1e308, 1e308, 1e308)):
+        for fn, args in [(fsum, (0.0,)), (fsum, (0.1,)), (favg_pair, (0.1, 0.2)),
+                         (favg_split, (0.0, 0.0)), (favg_split, (0.1, 0.2))]:
+            with pytest.raises(DomainError, match="leaves the float range"):
+                fn(*args, xs)
+    # only the folded sums are checked: an int sum is exact on the way
+    assert fsum(0.0, [10**308, 10**308, -10**308]) == dirac(10**308)
+    assert fsum(0.0, [1e308, -1e308, 1e308]) == dirac(1e308)
+
+
 def test_prime_aliases():
     a = run_case("msq_prime", CaseParams(p=0.1, q=0.1, input=3))
     b = run_case("msq'", CaseParams(p=0.1, q=0.1, input=3))

@@ -127,6 +127,20 @@ def test_matrix_fixpoint_truncation_exits_1(capsys):
     assert "10" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cases", "mfib", "--p", "0.1", "--n", "99999999999999999999"),
+    ("cases", "ftwice", "--p", "0.1", "--n", "99999999999999999999"),
+    ("matrix", "mfib", "--n", "99999999999999999999"),
+    ("matrix", "ftwice_fixpoint", "--n", "99999999999999999999", "--m", "8"),
+    ("matrix", "ftwice_fixpoint", "--n", "4", "--m", str(sys.maxsize)),
+])
+def test_counts_beyond_the_largest_index_are_one_error_line(argv):
+    proc = run_module(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_matrix_header_labels(capsys):
     code, out, _ = run_cli(capsys, "matrix", "fneg", "--p", "0.05", "--header")
     assert code == 0

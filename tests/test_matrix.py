@@ -23,14 +23,18 @@ from probfold.matrix import (
     junc,
     khatri,
     kron,
+    madd,
     mat_choice,
     max_dev,
     oplus,
+    relabel,
     snd_matrix,
     split,
     to_probfn,
 )
+from probfold.functors import ForLoopF
 from probfold.laws import random_cs_matrix, random_sharp
+from probfold.schemes import unzip
 from probfold.cases import fadd
 
 
@@ -95,6 +99,33 @@ def test_matrix_data_is_read_only():
     m = identity(Range(2))
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0
+
+
+def test_structural_matrices_are_shared_read_only_values():
+    b, c = Range(3), BOOLS
+    assert identity(b) is identity(Range(3))
+    assert fst_matrix(b, c) is fst_matrix(Range(3), BOOLS)
+    assert unzip(ForLoopF(), b, c) is unzip(ForLoopF(), Range(3), BOOLS)
+    for m in (identity(b), fst_matrix(b, c), unzip(ForLoopF(), b, c)):
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 0.5
+
+
+def test_rearranged_results_are_read_only():
+    m = Matrix(Range(2), Range(2), [[0.25, 1.0], [0.75, 0.0]])
+    for result in (converse(m), relabel(m, col_dim=BOOLS), junc(m, identity(Range(2)))):
+        with pytest.raises(ValueError):
+            result.data[0, 0] = 0.5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("op, entry", [(compose, 1e200), (kron, 1e200), (khatri, 1e200),
+                                       (hadamard, 1e200), (madd, 1.7e308)])
+def test_combinator_overflow_is_rejected(op, entry):
+    # finite, nonnegative operands whose product (or, for madd, sum) overflows
+    big = Matrix(Range(1), Range(1), [[entry]])
+    with pytest.raises(DomainError, match="finite"):
+        op(big, big)
 
 
 def test_identity_is_unit_of_composition():

@@ -1,6 +1,7 @@
 """Recursion-scheme tests: loops, folds, the matrix fixpoint, transformations."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +255,18 @@ def test_fixpoint_rejects_non_natural_input_count(n_max):
     states, body, init, escapes = _ftwice_pieces(0.1, 8)
     with pytest.raises(DomainError, match="n_max"):
         matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+
+
+@pytest.mark.parametrize("n_max", [sys.maxsize, 10**20])
+def test_fixpoint_rejects_counts_beyond_the_largest_index(n_max):
+    states, body, init, escapes = _ftwice_pieces(0.1, 8)
+    with pytest.raises(DomainError, match="n_max must be below"):
+        matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+
+
+def test_loop_counts_beyond_the_largest_index_are_rejected():
+    with pytest.raises(DomainError, match="exceeds the largest supported count"):
+        for_loop(lambda s: dirac(s + 1), dirac(0), sys.maxsize + 1)
 
 
 def test_fixpoint_sharp_body_gives_doubling_matrix():
