@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable
 
-from .dist import Dist, DomainError, ProbFn, bind, dirac, marginals, pair
+from .dist import Dist, DomainError, ProbFn, _Choice, bind, canonical_value, dirac, marginals, pair
 from .functors import ForLoopF, ListF
 from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tupled_from_mutual
 
@@ -19,7 +20,7 @@ from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tu
 def fadd(p: float, x: int) -> ProbFn:
     """Faulty addition of x: with probability p it acts as the identity."""
     _check_prob(p, "p")
-    return ProbFn(lambda y: _fadd(p, x, y))
+    return ProbFn(_Choice(((p, _identity), (1.0 - p, lambda y: x + y))))
 
 
 def _fadd(p: float, x: float, y: float) -> Dist:
@@ -30,7 +31,7 @@ def _fadd(p: float, x: float, y: float) -> Dist:
 def fadd_zero(q: float, x: int) -> ProbFn:
     """Faulty addition of x that resets to 0 with probability q."""
     _check_prob(q, "q")
-    return ProbFn(lambda y: Dist([(0, q), (x + y, 1.0 - q)]))
+    return ProbFn(_Choice(((q, _zero), (1.0 - q, lambda y: x + y))))
 
 
 def fadd_combined(p: float, q: float, x: int) -> ProbFn:
@@ -38,7 +39,15 @@ def fadd_combined(p: float, q: float, x: int) -> ProbFn:
     identity with probability (1-q)*p, and is correct with probability 1-p."""
     _check_prob(p, "p")
     _check_prob(q, "q")
-    return ProbFn(lambda y: Dist([(0, q * p), (y, (1.0 - q) * p), (x + y, 1.0 - p)]))
+    return ProbFn(_Choice(((q * p, _zero), ((1.0 - q) * p, _identity), (1.0 - p, lambda y: x + y))))
+
+
+def _identity(y):
+    return y
+
+
+def _zero(_y):
+    return 0
 
 
 def _check_prob(value: float, name: str) -> None:
@@ -48,6 +57,23 @@ def _check_prob(value: float, name: str) -> None:
 
 _FOR = ForLoopF()
 _LIST = ListF()
+
+_second = itemgetter(1)
+
+
+def _faulty(r: float, correct: Callable[[Any], Any]) -> _Choice:
+    """The step that is ``correct`` with probability 1-r and otherwise returns
+    the second component of its input pair: a faulty addition x + y that
+    gives y, or a list step that drops its element."""
+    return _Choice(((r, _second), (1.0 - r, correct)))
+
+
+def _sum(s):
+    return s[0] + s[1]
+
+
+def _plus_one(av):
+    return av[1] + 1
 
 
 def fib_algebras(p: float) -> tuple[Algebra, Algebra]:
@@ -63,8 +89,8 @@ def sq_algebras(p: float) -> tuple[Algebra, Algebra]:
     """Square via sums of odd numbers; only the accumulating step is faulty,
     the odd-number counter stays sharp."""
     _check_prob(p, "p")
-    h = Algebra(_FOR, dirac(0), lambda s: _fadd(p, s[0], s[1]))
-    k = Algebra(_FOR, dirac(1), lambda s: dirac(s[1] + 2))
+    h = Algebra(_FOR, dirac(0), _faulty(p, _sum))
+    k = Algebra(_FOR, dirac(1), _Choice(((1.0, lambda s: s[1] + 2),)))
     return h, k
 
 
@@ -72,8 +98,8 @@ def sq_prime_algebras(p: float, q: float) -> tuple[Algebra, Algebra]:
     """The disturbed square pair: the odd-number counter is faulty too."""
     _check_prob(p, "p")
     _check_prob(q, "q")
-    h = Algebra(_FOR, dirac(0), lambda s: _fadd(p, s[0], s[1]))
-    k = Algebra(_FOR, dirac(1), lambda s: _fadd(q, 2, s[1]))
+    h = Algebra(_FOR, dirac(0), _faulty(p, _sum))
+    k = Algebra(_FOR, dirac(1), _faulty(q, lambda s: 2 + s[1]))
     return h, k
 
 
@@ -125,28 +151,27 @@ def _empty_like(xs):
     return "" if isinstance(xs, str) else ()
 
 
-def _cons(a, s):
-    return a + s if isinstance(s, str) else (a,) + s
+def _cons(av):
+    a, s = av
+    return a + s if isinstance(s, str) else (canonical_value(a),) + s
 
 
 def fcat_algebra(p: float, xs: Any) -> Algebra:
     """Copy a sequence, losing each element with probability p."""
     _check_prob(p, "p")
-    empty = _empty_like(xs)
-    return Algebra(_LIST, dirac(empty),
-                   lambda av: Dist([(av[1], p), (_cons(av[0], av[1]), 1.0 - p)]))
+    return Algebra(_LIST, dirac(_empty_like(xs)), _faulty(p, _cons))
 
 
 def fcount_algebra(q: float) -> Algebra:
     """Count elements, skipping each with probability q."""
     _check_prob(q, "q")
-    return Algebra(_LIST, dirac(0), lambda av: Dist([(av[1], q), (av[1] + 1, 1.0 - q)]))
+    return Algebra(_LIST, dirac(0), _faulty(q, _plus_one))
 
 
 def fsum_algebra(p: float) -> Algebra:
     """Sum a sequence of numbers through faulty addition."""
     _check_prob(p, "p")
-    return Algebra(_LIST, dirac(0), lambda av: _fadd(p, av[0], av[1]))
+    return Algebra(_LIST, dirac(0), _faulty(p, _sum))
 
 
 def _check_reals(xs) -> None:
@@ -172,9 +197,7 @@ def consolidated_count_algebra(p: float, q: float) -> Algebra:
     p + q - p*q, count with probability (1-p)*(1-q)."""
     _check_prob(p, "p")
     _check_prob(q, "q")
-    stay = p + q - p * q
-    step = 1.0 - stay
-    return Algebra(_LIST, dirac(0), lambda av: Dist([(av[1], stay), (av[1] + 1, step)]))
+    return Algebra(_LIST, dirac(0), _faulty(p + q - p * q, _plus_one))
 
 
 def fcat(p: float, xs) -> Dist:

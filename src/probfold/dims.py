@@ -94,6 +94,11 @@ class Product(Dim):
 UNIT = Unit()
 BOOLS = Bools()
 
+# entries per memo of dim-derived values (element tuples, index maps,
+# structural matrices): a constant bound, so a large one a caller once built
+# is not pinned for the life of the process
+_MEMO_SIZE = 256
+
 
 def inl(value: Any) -> tuple:
     """Left injection into a Sum dimension's value space."""
@@ -123,7 +128,7 @@ def _size(dim: Dim) -> int:
     raise TypeError(f"unknown dimension {dim!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _elements(dim: Dim) -> tuple:
     match dim:
         case Unit():
@@ -141,6 +146,6 @@ def _elements(dim: Dim) -> tuple:
     raise TypeError(f"unknown dimension {dim!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _index(dim: Dim) -> dict:
     return {value: i for i, value in enumerate(_elements(dim))}

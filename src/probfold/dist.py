@@ -4,6 +4,10 @@ A ``Dist`` is an immutable value-to-mass map with total mass 1; every
 operation here is exact (no sampling). Values must be hashable and orderable
 across the supported kinds (bools, numbers, strings, tuples) so iteration
 order, rendering and golden outputs are deterministic.
+
+A fault step can be given as data: a weighted choice of sharp functions, the
+paper's model of a faulty operation. ``bind`` expands it without building a
+Dist per support value.
 """
 
 from __future__ import annotations
@@ -153,18 +157,40 @@ def choice(p: float, d: Dist, e: Dist) -> Dist:
 
 
 def bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
-    """Monadic bind: draw from ``d``, continue with ``k``."""
+    """Monadic bind: draw from ``d``, continue with ``k``.
+
+    A step (or a ProbFn applying one) is expanded in place: each branch's
+    mass goes straight into the result, with no Dist per support value. Any
+    other continuation is called once per support value."""
+    step = _step_of(k)
     acc = _Masses()
     get = acc.get
-    for v, m in d._mass.items():
-        try:
-            out = k(v)
-        except (KeyError, IndexError) as exc:
-            raise DomainError(f"continuation undefined at support value {v!r}") from exc
-        if not isinstance(out, Dist):
-            raise DomainError(f"continuation returned {type(out).__name__}, not Dist, at {v!r}")
-        for w, mw in out._mass.items():
-            acc[w] = get(w, 0.0) + m * mw
+    v = None
+    try:
+        if type(step) is _Choice and len(step) == 2 and min(step[0][0], step[1][0]) >= PRUNE_EPS:
+            # a correct and a faulty branch, neither pruned: the common fault
+            # step, expanded inline to save a call per support value
+            (w1, f1), (w2, f2) = step
+            both = w1 + w2  # where the branches meet, as Dist merges them
+            for v, m in d._mass.items():
+                x1, x2 = f1(v), f2(v)
+                if x1 is x2 or x1 == x2:
+                    acc[x1] = get(x1, 0.0) + m * both
+                else:
+                    acc[x1] = get(x1, 0.0) + m * w1
+                    acc[x2] = get(x2, 0.0) + m * w2
+        else:
+            expand = k if step is None else step.outcomes
+            for v, m in d._mass.items():
+                out = expand(v)
+                if step is None:
+                    if not isinstance(out, Dist):
+                        raise DomainError(f"continuation returned {type(out).__name__}, not Dist, at {v!r}")
+                    out = out._mass.items()
+                for w, mw in out:
+                    acc[w] = get(w, 0.0) + m * mw
+    except (KeyError, IndexError) as exc:  # only the continuation can raise these
+        raise DomainError(f"continuation undefined at support value {v!r}") from exc
     return Dist(acc)
 
 
@@ -244,6 +270,90 @@ class ProbFn:
                 raise DomainError("no enumerable inputs: pass them explicitly")
             inputs = self.in_dim.elements()
         return all(self.apply(v).is_dirac() for v in inputs)
+
+
+class _Step(tuple):
+    """A continuation given as data, which ``bind`` expands without building
+    a Dist per support value. ``outcomes(v)`` lists the (value, mass) pairs
+    the step gives at ``v``, merged and pruned as the Dist constructor would
+    merge and prune them; calling the step returns that Dist. Branch
+    functions must return canonical support values (ints, floats, strings, or
+    tuples of them): their outcomes are trusted as the monad's own are."""
+
+    __slots__ = ()
+
+    def __call__(self, value: Any) -> Dist:
+        return Dist(_Masses(self.outcomes(value)))
+
+
+class _Choice(_Step):
+    """A fault step as data: the weighted choice ``((w1, f1), (w2, f2), ...)``
+    of sharp functions, taking ``f_i`` with probability ``w_i`` -- the paper's
+    model of a faulty operation. The weights are checked once, here: each is
+    finite and in [0, 1], and they sum to 1 within ``PROPER_TOL``."""
+
+    __slots__ = ()
+
+    def __new__(cls, branches: Iterable[tuple[float, Callable[[Any], Any]]]):
+        branches = tuple((float(w), f) for w, f in branches)
+        for w, _ in branches:
+            if not 0.0 <= w <= 1.0:
+                raise DistributionError(f"choice weight {w!r} is not a probability")
+        total = math.fsum(w for w, _ in branches)
+        if abs(total - 1.0) > PROPER_TOL:
+            raise DistributionError(f"choice weights total {total!r}, not 1 (within {PROPER_TOL})")
+        return super().__new__(cls, branches)
+
+    def outcomes(self, value: Any) -> list[tuple[Any, float]]:
+        # branches giving one value merge in branch order, then light ones
+        # drop: the same floats the Dist constructor produces
+        merged = {}
+        for w, f in self:
+            x = f(value)
+            merged[x] = merged.get(x, 0.0) + w
+        return [(x, w) for x, w in merged.items() if w >= PRUNE_EPS]
+
+    def after(self, g: Callable[[Any], Any]) -> "_Choice":
+        """This choice after the sharp function ``g``: still a choice."""
+        return _Choice((w, lambda v, f=f: f(g(v))) for w, f in self)
+
+
+class _Pair(_Step):
+    """The step v -> pair(left(v), right(v)) of two steps: each factor merges
+    its own branches before the masses multiply, as ``pair`` does."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: _Step, right: _Step):
+        return super().__new__(cls, (left, right))
+
+    def outcomes(self, value: Any) -> list[tuple[Any, float]]:
+        left, right = self[0].outcomes(value), self[1].outcomes(value)
+        return [((b, c), w) for b, mb in left for c, mc in right if (w := mb * mc) >= PRUNE_EPS]
+
+    def after(self, g: Callable[[Any], Any]) -> "_Pair":
+        return _Pair(self[0].after(g), self[1].after(g))
+
+
+def _step_of(k: Callable) -> _Step | None:
+    """The step behind a continuation -- itself, or a ProbFn's ``apply`` --
+    when it is one."""
+    k = k.apply if isinstance(k, ProbFn) else k
+    return k if isinstance(k, _Step) else None
+
+
+def _after(k: Callable[[Any], Dist], g: Callable[[Any], Any]) -> Callable[[Any], Dist]:
+    """The continuation ``k`` after the sharp function ``g``; a step stays one."""
+    step = _step_of(k)
+    return step.after(g) if step is not None else (lambda v: k(g(v)))
+
+
+def _paired(f: Callable[[Any], Dist], g: Callable[[Any], Dist]) -> Callable[[Any], Dist]:
+    """The continuation v -> pair(f(v), g(v)); for two steps, a step."""
+    sf, sg = _step_of(f), _step_of(g)
+    if sf is not None and sg is not None:
+        return _Pair(sf, sg)
+    return lambda v: pair(f(v), g(v))
 
 
 def percent_string(mass: float) -> str:

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Any, Callable, Iterable
 
 from .dims import Dim, Product, Sum, UNIT
-from .dist import DomainError
+from .dist import DomainError, _after
 from .matrix import Matrix, identity, kron, oplus
 
 
@@ -110,7 +110,7 @@ class ListF(FunctorDesc):
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
         if not isinstance(value, (str, list, tuple)):
             raise DomainError(f"input {value!r} is not a sequence")
-        return [lambda s, a=a: step((a, s)) for a in reversed(value)]
+        return [_after(step, lambda s, a=a: (a, s)) for a in reversed(value)]
 
     def on_value(self, fn: Callable, v: Any) -> Any:
         return v[0], fn(v[1])

@@ -22,13 +22,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dims import Dim, Product, Sum, UNIT
-from .dist import Dist, DomainError, ProbFn
+from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT
+from .dist import Dist, DomainError, ProbFn, _step_of, support_key
 
 CS_TOL = 1e-9
-# entries per memoised structural-matrix function: a constant bound, so a large
-# matrix a caller once built is not pinned for the life of the process
-_MEMO_SIZE = 256
 
 
 class DimensionError(TypeError):
@@ -59,7 +56,10 @@ def _computed(arr: np.ndarray) -> _Fresh:
 
 
 class Matrix:
-    """An immutable real matrix typed by (column Dim -> row Dim)."""
+    """An immutable real matrix typed by (column Dim -> row Dim).
+
+    Its dims and data cannot be reassigned: the memoised structural matrices
+    are shared by every caller."""
 
     __slots__ = ("col_dim", "row_dim", "data")
 
@@ -76,9 +76,15 @@ class Matrix:
             if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < np.inf):
                 raise DomainError(_bad_entries(arr))
         arr.setflags(write=False)
-        self.col_dim = col_dim
-        self.row_dim = row_dim
-        self.data = arr
+        object.__setattr__(self, "col_dim", col_dim)
+        object.__setattr__(self, "row_dim", row_dim)
+        object.__setattr__(self, "data", arr)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"Matrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Matrix is immutable: cannot delete {name!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -313,17 +319,23 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
 def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
                     strict: bool) -> tuple[Matrix, dict[int, list[tuple[Any, float]]]]:
     """The column loop behind both constructors; ``strict`` raises on the
-    first support value outside ``row_dim`` instead of recording it."""
+    first support value outside ``row_dim`` instead of recording it. A fault
+    step's columns are read from its outcomes, with no Dist per column."""
+    step = _step_of(f)
     out = np.zeros((row_dim.size, col_dim.size))
     escapes: dict[int, list[tuple[Any, float]]] = {}
     for j, a in enumerate(col_dim.elements()):
-        for v, m in f(a).items():
+        lost = []
+        for v, m in (f(a).items() if step is None else step.outcomes(a)):
             if v in row_dim:
                 out[row_dim.index_of(v), j] = m
-            elif strict:
-                raise TruncationError(f"support value {v!r} of input {a!r} escapes output dim {row_dim}")
             else:
-                escapes.setdefault(j, []).append((v, m))
+                lost.append((v, m))
+        if lost:
+            lost.sort(key=lambda e: support_key(e[0]))  # in support order, as a Dist has them
+            if strict:
+                raise TruncationError(f"support value {lost[0][0]!r} of input {a!r} escapes output dim {row_dim}")
+            escapes[j] = lost
     return Matrix(col_dim, row_dim, out), escapes
 
 

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dims import Dim, Range, UNIT
-from .dist import Dist, DomainError, bind, choice, dirac, marginals, pair, tv_distance
+from .dims import _MEMO_SIZE, Dim, Range, UNIT
+from .dist import Dist, DomainError, _after, _paired, bind, choice, dirac, marginals, pair, tv_distance
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
-    _MEMO_SIZE,
     CS_TOL,
     Matrix,
     TruncationError,
@@ -135,13 +134,14 @@ def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebr
 
     Valid unconditionally (no sharpness needed): the combined step unzips
     its input, feeding f's component and g's component independently, which
-    is exactly the kron-after-unzip algebra on the product carrier.
+    is exactly the kron-after-unzip algebra on the product carrier. Two
+    choice steps combine into a step that ``bind`` still expands.
     """
     if alg_f.functor != functor or alg_g.functor != functor:
         raise DomainError("banana_split needs both algebras over the given functor")
 
-    def step(v, _f=alg_f.step, _g=alg_g.step, _at=functor.on_value):
-        return pair(_f(_at(_fst, v)), _g(_at(_snd, v)))
+    step = _paired(_after(alg_f.step, partial(functor.on_value, _fst)),
+                   _after(alg_g.step, partial(functor.on_value, _snd)))
     return Algebra(functor, pair(alg_f.base, alg_g.base), step)
 
 
@@ -177,14 +177,12 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
     projection of the tupled fold is sharp there, the transformation is
     guaranteed distribution-preserving; otherwise it may change behaviour.
     With no test inputs the condition is reported unchecked and ``holds`` is
-    false.
+    false. Two choice steps tuple into a step that ``bind`` still expands.
     """
     if h.functor != functor or k.functor != functor:
         raise DomainError("tupled_from_mutual needs both algebras over the given functor")
 
-    def step(v, _h=h.step, _k=k.step):
-        return pair(_h(v), _k(v))
-    tupled = Algebra(functor, pair(h.base, k.base), step)
+    tupled = Algebra(functor, pair(h.base, k.base), _paired(h.step, k.step))
 
     tested = tuple(test_inputs)
     fst_sharp = snd_sharp = bool(tested)

@@ -1,10 +1,14 @@
 """Case-registry tests: golden distributions, degenerate rates, carriers."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
 
 from probfold.cases import (
+    ALIASES,
+    REGISTRY,
     CaseParams,
     UnknownCaseError,
     fadd,
@@ -204,3 +208,53 @@ def test_msq_equals_msql_but_primed_versions_differ():
     a = run_case("msq'", CaseParams(p=0.1, q=0.1, input=3))
     b = run_case("msql'", CaseParams(p=0.1, q=0.1, input=3))
     assert tv_distance(a, b) >= 0.05
+
+
+# --- full-precision outputs ----------------------------------------------------
+
+# Every registered case and alias over a grid of rates and inputs, including
+# inputs where two branches of a fault step give the same value (a 0 element
+# to sum, n=1 for the squares), hashed from the full-precision items(). The
+# digests were recorded from the per-value implementation, where every fault
+# step built a Dist for each support value; any drift in a last digit fails.
+_GOLDEN_RATES = (0.0, 0.1, 0.19153, 1.0)
+_GOLDEN_NATS = (0, 1, 2, 9)
+_GOLDEN_SEQS = {
+    "fcat": ("", "abcab", (1, 2, 2, 3)),
+    "fcount": ("", "abcab", (1, 2, 2, 3)),
+    "pipeline_count_cat": ("", "abcab"),
+    "pipeline_consolidated": ("", "abcab"),
+    "fsum": ((), (0, 0, 1, 0, -1, 2)),
+    "favg_pair": ((), (0, 0, 1, 0, -1, 2)),
+    "favg_split": ((), (0, 0, 1, 0, -1, 2)),
+}
+_GOLDEN_DIGESTS = {
+    "favg_pair": "be1f4ada93fa57f0c31caf7b5cfef77e0909f9173f41be277423180b166481fb",
+    "favg_split": "0e30e5c4bdee99e5868aae79527e38eef0f42e520cf06ed90ebbb923bcf94d22",
+    "fcat": "ca5da2340aa7b800bb4c304126d73cfea6191cbef878913a5723428d4fa42d4a",
+    "fcount": "ae8a18c7e53739f8ffb4cedb8edb80dd156e47e2c2881377aaca431b5ddc6f93",
+    "fsum": "78cc8156f4845363e8eacda15009c2183400750890906afce5b4afa23b61c571",
+    "ftwice": "4ef667b8d1faee565605e9af69b0eee22a402fd707cb056c54f5a4491c2ca028",
+    "mfib": "45fad9b72ae049ce45f06478307964ef110f586a8dd7586e9f143044d0b63bee",
+    "mfibl": "38747a726588e2d842293c2415b3112964dec8ae122271a4c3b634992b715818",
+    "msq": "b9f476320e6eae3dbf149e8df75fbfc84877da4b1872c605f3a751878a25ae7b",
+    "msq'": "a90e8a1f46f0c643cd66987ac6e549f3eeb316e8ea00958cd9f041de5aefa7db",
+    "msql": "b4d29b0fc192999008500099966763e4745d63ca61263be1f5ec8e1e86767e8f",
+    "msql'": "90412508f7dd1cfc41d5977e864787519b47cb18597c60de01fc7294693d7b84",
+    "msqlo": "618995d6a87b031dfe38fa21fbfc94dd084b085188d0cd1672f8b301fcc981f4",
+    "pipeline_consolidated": "e032cf44d670b0a8416a2041f7cdee0775f990e4e52f57c48c2aa79b880df759",
+    "pipeline_count_cat": "add76c0eaed971fc5ed0e5948f35235aac742997274cbc3ccd913932cfa44b9c",
+    "msq_prime": "a90e8a1f46f0c643cd66987ac6e549f3eeb316e8ea00958cd9f041de5aefa7db",
+    "msql_prime": "90412508f7dd1cfc41d5977e864787519b47cb18597c60de01fc7294693d7b84",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + sorted(ALIASES))
+def test_every_case_is_bit_identical_to_the_recorded_outputs(name):
+    case = REGISTRY[ALIASES.get(name, name)]
+    qs = _GOLDEN_RATES if case.uses_q else (0.0,)
+    inputs = _GOLDEN_NATS if case.kind == "nat" else _GOLDEN_SEQS[ALIASES.get(name, name)]
+    h = hashlib.sha256()
+    for p, q, x in itertools.product(_GOLDEN_RATES, qs, inputs):
+        h.update(repr(run_case(name, CaseParams(p=p, q=q, input=x)).items()).encode())
+    assert h.hexdigest() == _GOLDEN_DIGESTS[name]

@@ -66,6 +66,16 @@ def test_cases_non_number_sum_input_is_one_error_line():
         assert proc.stderr == "error: element 'a' of input 'abc' is not a real number\n"
 
 
+@pytest.mark.parametrize("name, text", [("fsum", "1e308"), ("favg_pair", "1.5,2"),
+                                        ("favg_split", "1e308")])
+def test_summing_cases_name_the_sequence_format(name, text):
+    proc = run_module("cases", name, "--p", "0.1", "--input", text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: case {name!r} sums integers, got --input {text!r}; "
+                           "sequence input is comma-separated integers or a string\n")
+
+
 def test_cases_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cases", "unknown_case", "--n", "1"])

@@ -24,6 +24,8 @@ from probfold.dist import (
     render_lines,
     support_key,
     tv_distance,
+    _Choice,
+    _paired,
 )
 from probfold.cases import fadd, mfib, mfibl, msq
 
@@ -302,6 +304,89 @@ def test_fib_tv_against_brute_force_oracle():
     assert tv_distance(d, e) == pytest.approx(oracle_tv, abs=1e-12)
     # frozen from the oracle: half-L1 distance of the two n=5 distributions
     assert oracle_tv == pytest.approx(0.1377, abs=1e-3)
+
+
+# --- choice steps ---------------------------------------------------------------
+
+def _plus2(v):
+    return v + 2
+
+
+def _same(v):
+    return v
+
+
+def _zero(_v):
+    return 0
+
+
+_STEPS = {
+    "two branches": _Choice(((0.1, _same), (0.9, _plus2))),
+    "two branches meeting at 0": _Choice(((0.1, _same), (0.9, _zero))),
+    "a light branch": _Choice(((1e-16, _same), (1.0 - 1e-16, _plus2))),
+    "three branches meeting at 0": _Choice(((0.3, _zero), (0.2, _same), (0.5, _plus2))),
+    "one branch": _Choice(((1.0, _plus2),)),
+    "a pair": _paired(_Choice(((0.1, _same), (0.9, _zero))), _Choice(((0.25, _same), (0.75, _plus2)))),
+    "a pair with a light product": _paired(_Choice(((1e-8, _same), (1.0 - 1e-8, _plus2))),
+                                           _Choice(((1e-8, _zero), (1.0 - 1e-8, _same)))),
+}
+
+
+def _per_value(step):
+    """The continuation a step stands for, one checked Dist per value: the
+    Dist of a choice's branches, or the pair of two steps' Dists."""
+    if isinstance(step, _Choice):
+        return lambda v: Dist([(f(v), w) for w, f in step])
+    left, right = map(_per_value, step)
+    return lambda v: pair(left(v), right(v))
+
+
+@pytest.mark.parametrize("name", _STEPS)
+def test_bind_expands_a_step_to_the_per_value_floats(name):
+    step = _STEPS[name]
+    d = Dist({0: 0.2, 1: 0.3, 2: 0.5})
+    expected = bind(d, _per_value(step)).items()
+    assert bind(d, step).items() == bind(d, ProbFn(step)).items() == expected
+    assert all(step(v) == _per_value(step)(v) for v in d)
+
+
+@pytest.mark.parametrize("weights", [(-0.1, 1.1), (math.nan, 1.0), (math.inf, 0.0), (0.5, 0.4),
+                                     (0.5, 0.5 + 2e-9)])
+def test_choice_weights_are_checked_when_it_is_built(weights):
+    with pytest.raises(DistributionError):
+        _Choice(zip(weights, (_same, _plus2)))
+
+
+def test_choice_weights_are_read_once():
+    reads = []
+
+    class Weight(float):
+        def __float__(self):
+            reads.append(self)
+            return float.__float__(self)
+
+    step = _Choice(((Weight(0.25), _same), (Weight(0.75), _plus2)))
+    bind(Dist({v: 0.1 for v in range(10)}), step)
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("shape", ["two branches", "one branch", "a pair"])
+@pytest.mark.parametrize("error", [KeyError, IndexError])
+def test_an_undefined_branch_reads_as_the_per_value_path(shape, error):
+    def partial_fn(v):
+        if v == 2:
+            raise error(v)
+        return v
+
+    step = {"two branches": _Choice(((0.5, partial_fn), (0.5, _same))),
+            "one branch": _Choice(((1.0, partial_fn),)),
+            "a pair": _paired(_STEPS["one branch"], _Choice(((0.5, _same), (0.5, partial_fn))))}[shape]
+    d = Dist({0: 0.5, 2: 0.5})
+    with pytest.raises(DomainError) as expanded:
+        bind(d, step)
+    with pytest.raises(DomainError) as per_value:
+        bind(d, _per_value(step))
+    assert str(expanded.value) == str(per_value.value) == "continuation undefined at support value 2"
 
 
 # --- ProbFn ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from probfold.dims import BOOLS, EnumDim, Product, Range, Sum, UNIT, inl, inr
+from probfold.dims import _MEMO_SIZE, BOOLS, EnumDim, Product, Range, Sum, UNIT, _elements, _index, inl, inr
 from probfold.dist import Dist, DomainError, dirac
 from probfold.matrix import (
     DimensionError,
@@ -99,6 +99,25 @@ def test_matrix_data_is_read_only():
     m = identity(Range(2))
     with pytest.raises(ValueError):
         m.data[0, 0] = 5.0
+
+
+def test_matrix_dims_and_data_cannot_be_reassigned():
+    m = identity(Range(2))
+    for name, value in (("col_dim", BOOLS), ("row_dim", BOOLS), ("data", np.zeros((2, 2)))):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    shared = identity(Range(2))
+    assert shared.col_dim == shared.row_dim == Range(2)
+    assert np.array_equal(shared.data, np.eye(2))
+
+
+def test_dim_memos_stay_bounded():
+    for n in range(1, _MEMO_SIZE + 21):
+        assert Range(n).index_of(n - 1) == n - 1
+    for memo in (_elements, _index):
+        assert memo.cache_info().currsize <= _MEMO_SIZE
 
 
 def test_structural_matrices_are_shared_read_only_values():
@@ -299,6 +318,22 @@ def test_from_probfn_truncated_records_escapes():
     assert set(escapes) == {2, 3}
     assert escapes[2] == [(4, pytest.approx(0.9))]
     assert not m.is_column_stochastic()
+
+
+def test_a_fault_step_gives_the_columns_of_its_dists():
+    # column 5 of fadd(0.1, -2) loses both 5 and 3 from Range(3): the escapes
+    # and the first one named keep the order of the Dist at that column
+    step = fadd(0.1, -2)
+    per_value = lambda v: step(v)
+    m, escapes = from_probfn_truncated(step, Range(6), Range(3))
+    assert (m, escapes) == from_probfn_truncated(per_value, Range(6), Range(3))
+    assert escapes[5] == [(3, 0.9), (5, 0.1)]
+    messages = []
+    for f in (step, per_value):
+        with pytest.raises(TruncationError) as err:
+            from_probfn(f, EnumDim((5,)), Range(3))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "support value 3 of input 5 escapes output dim Range(n=3)"
 
 
 def test_sharp_embedding_is_functorial():
