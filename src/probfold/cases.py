@@ -177,6 +177,9 @@ def fsum_algebra(p: float) -> Algebra:
 def _check_reals(xs) -> None:
     """Reject a sequence holding anything but numbers with a finite float value
     (bools excluded), naming the first offender; other inputs are left to the fold."""
+    if isinstance(xs, str) and any(c.isdigit() for c in xs):
+        # numbers written as text (say '1.5,2'): naming a digit would mislead
+        raise DomainError(f"input {xs!r} is text, not numbers; summing cases take comma-separated integers")
     if isinstance(xs, (str, list, tuple)):
         for a in xs:
             if (isinstance(a, bool) or not isinstance(a, (int, float))

@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT
-from .dist import Dist, DomainError, ProbFn, _step_of, support_key
+from .dist import Dist, DomainError, ProbFn
 
 CS_TOL = 1e-9
 
@@ -319,23 +319,17 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
 def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
                     strict: bool) -> tuple[Matrix, dict[int, list[tuple[Any, float]]]]:
     """The column loop behind both constructors; ``strict`` raises on the
-    first support value outside ``row_dim`` instead of recording it. A fault
-    step's columns are read from its outcomes, with no Dist per column."""
-    step = _step_of(f)
+    first support value outside ``row_dim`` instead of recording it."""
     out = np.zeros((row_dim.size, col_dim.size))
     escapes: dict[int, list[tuple[Any, float]]] = {}
     for j, a in enumerate(col_dim.elements()):
-        lost = []
-        for v, m in (f(a).items() if step is None else step.outcomes(a)):
+        for v, m in f(a).items():
             if v in row_dim:
                 out[row_dim.index_of(v), j] = m
+            elif strict:
+                raise TruncationError(f"support value {v!r} of input {a!r} escapes output dim {row_dim}")
             else:
-                lost.append((v, m))
-        if lost:
-            lost.sort(key=lambda e: support_key(e[0]))  # in support order, as a Dist has them
-            if strict:
-                raise TruncationError(f"support value {lost[0][0]!r} of input {a!r} escapes output dim {row_dim}")
-            escapes[j] = lost
+                escapes.setdefault(j, []).append((v, m))
     return Matrix(col_dim, row_dim, out), escapes
 
 

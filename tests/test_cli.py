@@ -72,8 +72,8 @@ def test_summing_cases_name_the_sequence_format(name, text):
     proc = run_module("cases", name, "--p", "0.1", "--input", text)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == (f"error: case {name!r} sums integers, got --input {text!r}; "
-                           "sequence input is comma-separated integers or a string\n")
+    assert proc.stderr == (f"error: input {text!r} is text, not numbers; "
+                           "summing cases take comma-separated integers\n")
 
 
 def test_cases_usage_errors_exit_2(capsys):
