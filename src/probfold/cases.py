@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -51,6 +52,8 @@ def _zero(_y):
 
 
 def _check_prob(value: float, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name}={value!r} is not a real number")
     if not 0.0 <= float(value) <= 1.0:
         raise DomainError(f"{name}={value!r} outside [0, 1]")
 

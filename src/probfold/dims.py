@@ -10,7 +10,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Iterator
 
 
@@ -18,9 +18,23 @@ from typing import Any, Iterator
 class Dim:
     """Base class for dimension descriptors. Instances are immutable."""
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return _size(self)
+        """The number of elements, kept on the instance once computed."""
+        match self:
+            case Unit():
+                return 1
+            case Bools():
+                return 2
+            case Range(n):
+                return n
+            case EnumDim(values):
+                return len(values)
+            case Sum(a, b):
+                return a.size + b.size
+            case Product(a, b):
+                return a.size * b.size
+        raise TypeError(f"unknown dimension {self!r}")
 
     def elements(self) -> tuple[Any, ...]:
         return _elements(self)
@@ -108,24 +122,6 @@ def inl(value: Any) -> tuple:
 def inr(value: Any) -> tuple:
     """Right injection into a Sum dimension's value space."""
     return ("inr", value)
-
-
-@lru_cache(maxsize=None)
-def _size(dim: Dim) -> int:
-    match dim:
-        case Unit():
-            return 1
-        case Range(n):
-            return n
-        case Bools():
-            return 2
-        case EnumDim(values):
-            return len(values)
-        case Sum(a, b):
-            return _size(a) + _size(b)
-        case Product(a, b):
-            return _size(a) * _size(b)
-    raise TypeError(f"unknown dimension {dim!r}")
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

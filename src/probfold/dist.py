@@ -7,7 +7,7 @@ order, rendering and golden outputs are deterministic.
 
 A fault step can be given as data: a weighted choice of sharp functions, the
 paper's model of a faulty operation. ``bind`` expands it without building a
-Dist per support value.
+Dist per support value, and so it does the pairing of any two continuations.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
     A step (or a ProbFn applying one) is expanded in place: each branch's
     mass goes straight into the result, with no Dist per support value. Any
     other continuation is called once per support value."""
-    step = _step_of(k)
+    step = _as_step(k)
     acc = _Masses()
     get = acc.get
     v = None
@@ -182,14 +182,9 @@ def bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
                     acc[x1] = get(x1, 0.0) + m * w1
                     acc[x2] = get(x2, 0.0) + m * w2
         else:
-            expand = k if step is None else step.outcomes
+            outcomes = step.outcomes
             for v, m in d._mass.items():
-                out = expand(v)
-                if step is None:
-                    if not isinstance(out, Dist):
-                        raise DomainError(f"continuation returned {type(out).__name__}, not Dist, at {v!r}")
-                    out = out._mass.items()
-                for w, mw in out:
+                for w, mw in outcomes(v):
                     acc[w] = get(w, 0.0) + m * mw
     except (KeyError, IndexError) as exc:  # only the continuation can raise these
         raise DomainError(f"continuation undefined at support value {v!r}") from exc
@@ -337,25 +332,41 @@ class _Pair(_Step):
         return _Pair(self[0].after(g), self[1].after(g))
 
 
-def _step_of(k: Callable) -> _Step | None:
+class _Plain(_Step):
+    """A plain continuation as a step: its outcomes at ``v`` are the entries of
+    the Dist it returns there, which the Dist constructor has checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: Callable[[Any], Dist]):
+        return super().__new__(cls, (k,))
+
+    def outcomes(self, value: Any):
+        out = self[0](value)
+        if not isinstance(out, Dist):
+            raise DomainError(f"continuation returned {type(out).__name__}, not Dist, at {value!r}")
+        return out._mass.items()
+
+    def after(self, g: Callable[[Any], Any]) -> "_Plain":
+        k = self[0]
+        return _Plain(lambda v: k(g(v)))
+
+
+def _as_step(k: Callable[[Any], Dist]) -> _Step:
     """The step behind a continuation -- itself, or a ProbFn's ``apply`` --
-    when it is one."""
-    k = k.apply if isinstance(k, ProbFn) else k
-    return k if isinstance(k, _Step) else None
+    or else the continuation as a plain step."""
+    inner = k.apply if isinstance(k, ProbFn) else k
+    return inner if isinstance(inner, _Step) else _Plain(k)
 
 
-def _after(k: Callable[[Any], Dist], g: Callable[[Any], Any]) -> Callable[[Any], Dist]:
-    """The continuation ``k`` after the sharp function ``g``; a step stays one."""
-    step = _step_of(k)
-    return step.after(g) if step is not None else (lambda v: k(g(v)))
+def _after(k: Callable[[Any], Dist], g: Callable[[Any], Any]) -> _Step:
+    """The continuation ``k`` after the sharp function ``g``, as a step."""
+    return _as_step(k).after(g)
 
 
-def _paired(f: Callable[[Any], Dist], g: Callable[[Any], Dist]) -> Callable[[Any], Dist]:
-    """The continuation v -> pair(f(v), g(v)); for two steps, a step."""
-    sf, sg = _step_of(f), _step_of(g)
-    if sf is not None and sg is not None:
-        return _Pair(sf, sg)
-    return lambda v: pair(f(v), g(v))
+def _paired(f: Callable[[Any], Dist], g: Callable[[Any], Dist]) -> _Pair:
+    """The step v -> pair(f(v), g(v)), for any two continuations."""
+    return _Pair(_as_step(f), _as_step(g))
 
 
 def percent_string(mass: float) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .dims import Dim, Product, Sum, UNIT
 from .dist import DomainError, _after
@@ -38,6 +38,12 @@ class FunctorDesc:
 
     def on_value(self, fn: Callable, v: Any) -> Any:
         """Apply ``fn`` at the recursive position of one F-value."""
+        raise DomainError(f"no monadic catamorphism for functor {self}")
+
+    def _sub_inputs(self, value: Any) -> Sequence:
+        """Validate a fold input and return the sub-inputs its fold passes
+        through, innermost first and ending with ``value``: one more than
+        its layers."""
         raise DomainError(f"no monadic catamorphism for functor {self}")
 
 
@@ -76,11 +82,18 @@ class ForLoopF(FunctorDesc):
         return oplus(identity(UNIT), m)
 
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
+        return repeat(step, self._count(value))
+
+    def _sub_inputs(self, value: Any) -> Sequence:
+        return range(self._count(value) + 1)
+
+    @staticmethod
+    def _count(value: Any) -> int:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DomainError(f"input {value!r} is not a natural number")
         if value > sys.maxsize:
             raise DomainError(f"loop count {value} exceeds the largest supported count {sys.maxsize}")
-        return repeat(step, value)
+        return value
 
     def on_value(self, fn: Callable, v: Any) -> Any:
         return fn(v)
@@ -108,9 +121,18 @@ class ListF(FunctorDesc):
         return oplus(identity(UNIT), kron(identity(self._need_alphabet()), m))
 
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
+        return [_after(step, lambda s, a=a: (a, s)) for a in reversed(self._sequence(value))]
+
+    def _sub_inputs(self, value: Any) -> Sequence:
+        seq = self._sequence(value)
+        seq = tuple(seq) if isinstance(seq, list) else seq
+        return [seq[i:] for i in range(len(seq), -1, -1)]
+
+    @staticmethod
+    def _sequence(value: Any) -> Any:
         if not isinstance(value, (str, list, tuple)):
             raise DomainError(f"input {value!r} is not a sequence")
-        return [_after(step, lambda s, a=a: (a, s)) for a in reversed(value)]
+        return value
 
     def on_value(self, fn: Callable, v: Any) -> Any:
         return v[0], fn(v[1])

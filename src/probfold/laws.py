@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product as iter_product
 from typing import Any, Callable
 
@@ -56,12 +56,13 @@ from .matrix import (
 )
 from .schemes import (
     Algebra,
+    _fold_each,
+    _mutual_folds,
     banana_split,
     base_choice_split,
     cata_eval,
     fold_fusion_check,
     matrix_cata_fixpoint,
-    mutual_eval,
     tupled_from_mutual,
     unzip,
 )
@@ -101,6 +102,7 @@ class LawReport:
     max_dev: float
     status: str  # "pass" | "fail" | "expected-fail"
     witness: str | None = None
+    violations: int = 0  # instances, the fixed one included, that deviate beyond tol
 
     def line(self) -> str:
         return f"{self.law}\t{self.status}\t{self.max_dev:.3e}\t{self.trials}"
@@ -296,11 +298,20 @@ def _injective(combine: Callable[[Matrix, Matrix], Matrix], spec: str) -> _LawDe
 
 def _tupling(h: Algebra, k: Algebra, inputs) -> tuple[bool, float]:
     """Whether tupling h and k passes its side condition on 0..5, and the largest
-    TV distance over inputs between the paired mutual fold and the tupled fold."""
+    TV distance over inputs between the paired mutual fold and the tupled fold;
+    both folds run once, to the largest input."""
     tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=range(6))
-    devs = (tv_distance(pair(*mutual_eval(_FOR, h, k, n)), cata_eval(_FOR, tupled, n))
-            for n in inputs)
-    return report.holds, max(devs)
+    last = max(inputs)
+    mutual, folds = list(_mutual_folds(_FOR, h, k, last)), _fold_each(tupled, range(last + 1))
+    return report.holds, max(tv_distance(pair(*mutual[n]), folds[n]) for n in inputs)
+
+
+def _fold_matrix(alg: Algebra, inputs: Dim, carrier: Dim) -> Matrix:
+    """The matrix of the library's fold of alg over every input in inputs. Inputs
+    come shortest first, so each is one layer on a fold already made: a loop
+    count on the count below it, a list on its tail."""
+    folds = dict(zip(inputs.elements(), _fold_each(alg, inputs.elements())))
+    return from_probfn(folds.__getitem__, inputs, carrier)
 
 
 def _small_functor(rng) -> FunctorDesc:
@@ -417,7 +428,7 @@ def _law_fold_fusion(rng, cfg):
         p, q = float(rng.random()), float(rng.random())
         xs = "".join("ab"[i] for i in _random_list(rng, (0, 1), 5))
         count_alg = fcount_algebra(q)
-        post = lambda s: cata_eval(count_alg.functor, count_alg, s)
+        post = cache(partial(cata_eval, count_alg.functor, count_alg))  # each copy counted once
         report = fold_fusion_check(post, fcat_algebra(p, xs), consolidated_count_algebra(p, q), [xs])
     else:
         # relabeling a fold's carrier through a sharp bijection
@@ -446,14 +457,14 @@ def _law_cata_universal(rng, cfg):
     if rng.random() < 0.5:
         step = _table_step(rng, list(range(carrier.size)), carrier)
         alg, step_dom = Algebra(_FOR, base, step), carrier
-        k = from_probfn(lambda j: cata_eval(_FOR, alg, j), Range(9), carrier)
+        k = _fold_matrix(alg, Range(9), carrier)
         in_mat, shift = _for_in(8)
         rec = k @ shift
     else:
         alphabet, lists, shorter = Range(2), _list_dim(2, 4), _list_dim(2, 3)
         step = _table_step(rng, [(a, s) for a in range(2) for s in range(carrier.size)], carrier)
         alg, step_dom = Algebra(ListF(alphabet), base, step), Product(alphabet, carrier)
-        k = from_probfn(lambda xs: cata_eval(alg.functor, alg, xs), lists, carrier)
+        k = _fold_matrix(alg, lists, carrier)
         in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
                       from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
         rec = kron(identity(alphabet), k @ from_sharp_fn(lambda xs: xs, shorter, lists))
@@ -683,12 +694,14 @@ def check_law(name: str, cfg: TrialConfig) -> LawReport:
         sources.append(spec.fn(_trial_rng(cfg, law_index, t), cfg) for t in range(cfg.trials))
     if spec.fixed is not None:
         sources.append([spec.fixed()])
-    worst, witness, each_violated = 0.0, None, True
+    worst, witness, each_violated, violations = 0.0, None, True, 0
     for runs in sources:
         first: str | None = None
         for dev, parts in runs:
-            if dev > cfg.tol and first is None:
-                first = _witness(parts)
+            if dev > cfg.tol:
+                violations += 1
+                if first is None:
+                    first = _witness(parts)
             worst = max(worst, dev)
         each_violated = each_violated and first is not None
         witness = witness if first is None else first
@@ -697,7 +710,7 @@ def check_law(name: str, cfg: TrialConfig) -> LawReport:
     else:
         status = "pass" if worst <= cfg.tol else "fail"
     trials = cfg.trials if spec.fn is not None else 1
-    return LawReport(name, trials, worst, status, witness)
+    return LawReport(name, trials, worst, status, witness, violations)
 
 
 def check_all(cfg: TrialConfig) -> list[LawReport]:

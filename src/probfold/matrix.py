@@ -346,8 +346,17 @@ def relabel(m: Matrix, col_dim: Dim | None = None, row_dim: Dim | None = None) -
 
 
 def to_probfn(m: Matrix) -> ProbFn:
-    """Inverse of from_probfn: columns become distributions."""
-    return ProbFn(apply=m.column_dist, in_dim=m.col_dim, out_dim=m.row_dim)
+    """Inverse of from_probfn: columns become distributions, each built once.
+    Built columns are kept by index, so a value the column dim rejects is
+    rejected on every call."""
+    columns: dict[int, Dist] = {}
+
+    def apply(value: Any) -> Dist:
+        j = m.col_dim.index_of(value)
+        if j not in columns:
+            columns[j] = m.column_dist(value)
+        return columns[j]
+    return ProbFn(apply=apply, in_dim=m.col_dim, out_dim=m.row_dim)
 
 
 def max_dev(m: Matrix, n: Matrix) -> float:

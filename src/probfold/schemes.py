@@ -10,10 +10,12 @@ side conditions or need none.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate, islice
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,13 +36,40 @@ _FOR, _LIST = ForLoopF(), ListF()
 _fst, _snd = itemgetter(0), itemgetter(1)
 
 
+def _folds(layers: Iterable[Callable], base: Any, join: Callable | None = None) -> Iterator:
+    """The one fold loop: ``base``, then each of ``layers`` (innermost first)
+    joined on in turn, by ``bind`` unless ``join`` is given. It yields the fold
+    of every sub-input on its way -- loop counts 0..n, a list's suffixes
+    shortest first -- so a caller that needs several of them runs one chain."""
+    # ``bind`` is looked up per call, not bound as a default: a caller that
+    # rebinds the module's name (the benchmark's tracer) reaches every fold
+    return accumulate(layers, join if join is not None else bind, initial=base)
+
+
+def _last(folds: Iterator) -> Any:
+    """The last value of a fold loop: the fold of the whole input."""
+    return deque(folds, maxlen=1)[0]
+
+
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
     ``value``, innermost first, starting from ``base``."""
-    d = base
-    for k in functor.layers(step, value):
-        d = bind(d, k)
-    return d
+    return _last(_folds(functor.layers(step, value), base))
+
+
+def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
+    """The fold of each of ``inputs``. Each input's loop resumes from its
+    longest sub-input already folded, so every distinct sub-input is folded
+    once."""
+    functor, memo, folds = alg.functor, {}, []
+    for value in inputs:
+        subs = functor._sub_inputs(value)
+        known = next((i for i in range(len(subs) - 1, -1, -1) if subs[i] in memo), None)
+        base, start = (alg.base, 0) if known is None else (memo[subs[known]], known)
+        layers = islice(functor.layers(alg.step, value), start, None)
+        memo.update(zip(subs[start:], _folds(layers, base)))
+        folds.append(memo[subs[-1]])
+    return folds
 
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:
@@ -150,11 +179,22 @@ def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tup
     recursive occurrences independently (the pre-tupling semantics)."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
-    f, g = h.base, k.base
-    for h_layer, k_layer in zip(functor.layers(h.step, value), functor.layers(k.step, value)):
-        fg = pair(f, g)
-        f, g = bind(fg, h_layer), bind(fg, k_layer)
-    return f, g
+    return _last(_mutual_folds(functor, h, k, value))
+
+
+def _mutual_folds(functor: FunctorDesc, h: Algebra, k: Algebra,
+                  value: Any) -> Iterator[tuple[Dist, Dist]]:
+    """The fold loop of mutual evaluation: the pair of both functions' results
+    at every sub-input of ``value``, innermost first."""
+    layers = zip(functor.layers(h.step, value), functor.layers(k.step, value))
+    return _folds(layers, (h.base, k.base), _mutual_layer)
+
+
+def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tuple[Dist, Dist]:
+    """One layer of mutual recursion: both steps draw the recursive
+    occurrences independently, from the pair of the previous results."""
+    joint = pair(*fg)
+    return bind(joint, layer[0]), bind(joint, layer[1])
 
 
 @dataclass(frozen=True)
@@ -186,8 +226,8 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
 
     tested = tuple(test_inputs)
     fst_sharp = snd_sharp = bool(tested)
-    for value in tested:
-        left, right = marginals(cata_eval(functor, tupled, value))
+    for fold in _fold_each(tupled, tested):
+        left, right = marginals(fold)
         fst_sharp = fst_sharp and left.is_dirac()
         snd_sharp = snd_sharp and right.is_dirac()
     holds = fst_sharp or snd_sharp
@@ -240,6 +280,9 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     """
     inputs = [xs if isinstance(xs, str) else tuple(xs) for xs in test_inputs]
 
+    # each input's suffixes lie on its own fold's way: one loop per input
+    tails = [(xs[i], xs[i + 1:]) for xs in inputs for i in range(len(xs))]
+    g_folds = _fold_each(g_alg, inputs + [rest for _, rest in tails])
     points: list[tuple[Any, Any]] = []
     if carrier_values is not None:
         if alphabet is None:
@@ -249,13 +292,11 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
         points = [(a, s) for a in alphabet for s in carrier_values]
     else:
         seen = set()
-        for xs in inputs:
-            for i in range(len(xs)):
-                a = xs[i]
-                for s in cata_eval(g_alg.functor, g_alg, xs[i + 1:]).support:
-                    if (a, s) not in seen:
-                        seen.add((a, s))
-                        points.append((a, s))
+        for (a, _), fold in zip(tails, g_folds[len(inputs):]):
+            for s in fold.support:
+                if (a, s) not in seen:
+                    seen.add((a, s))
+                    points.append((a, s))
 
     side_dev = tv_distance(bind(g_alg.base, post), candidate.base)
     for a, s in points:
@@ -264,8 +305,6 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
         side_dev = max(side_dev, tv_distance(lhs, rhs))
 
     pipe_dev = 0.0
-    for xs in inputs:
-        lhs = bind(cata_eval(g_alg.functor, g_alg, xs), post)
-        rhs = cata_eval(candidate.functor, candidate, xs)
-        pipe_dev = max(pipe_dev, tv_distance(lhs, rhs))
+    for g_fold, cand_fold in zip(g_folds, _fold_each(candidate, inputs)):
+        pipe_dev = max(pipe_dev, tv_distance(bind(g_fold, post), cand_fold))
     return FusionReport(side_dev, pipe_dev, tol)

@@ -17,6 +17,7 @@ from probfold.cases import (
     favg_pair,
     favg_split,
     fsum,
+    ftwice,
     mfib,
     mfibl,
     msq,
@@ -89,6 +90,21 @@ def test_bad_rates_are_rejected_at_every_input_size():
         for n in (0, 3):
             with pytest.raises(DomainError, match=cause):
                 fn(*args, n)
+
+
+def test_rates_that_are_not_real_numbers_are_rejected():
+    for rate in ("0.1", True, None):
+        cause = f"p={rate!r} is not a real number"
+        with pytest.raises(DomainError, match=cause):
+            run_case("fsum", CaseParams(p=rate, input=(1, 2)))
+        for fn, args in [(mfib, (3,)), (ftwice, (3,)), (fsum, ((1, 2),)), (fadd, (2,))]:
+            with pytest.raises(DomainError, match=cause):
+                fn(rate, *args)
+        with pytest.raises(DomainError, match=f"q={rate!r} is not a real number"):
+            run_case("fcount", CaseParams(q=rate, input="ab"))
+    # a float rate out of range keeps its message
+    with pytest.raises(DomainError, match=r"^p=1\.5 outside \[0, 1\]$"):
+        run_case("fsum", CaseParams(p=1.5, input=(1, 2)))
 
 
 def test_sums_reject_elements_that_are_not_real_numbers():

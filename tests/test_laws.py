@@ -1,5 +1,6 @@
 """Law-checker tests: determinism, generators, statuses, the risk preorder."""
 
+import hashlib
 import math
 import time
 
@@ -266,3 +267,54 @@ def test_linear_fib_dominates_recursive_fib():
 def test_negative_seed_is_accepted_and_deterministic():
     cfg = TrialConfig(seed=-7, trials=2, max_dim=4, tol=1e-9)
     assert check_law("reflection", cfg) == check_law("reflection", cfg)
+
+
+# --- full-precision reports ------------------------------------------------------
+
+# SHA-256 of the full-precision repr of every law's worst deviation, with its
+# status and witness, in catalogue order: any drift in a last digit fails.
+_REPORT_DIGESTS = [
+    (SMALL, "f2adecfba284633150fb80c3f441398875087d7dfd9b4ad40a1606633de0a9c7"),
+    (TrialConfig(seed=7, trials=50, max_dim=3, tol=1e-9),
+     "16399015c05c472affdc6e912577f73d15fe568946df72089cd4ded41c2cd610"),
+    (TrialConfig(seed=7, trials=50, max_dim=12, tol=1e-9),
+     "c70443a6283e12bf17959e007fa1460fb634943bce94bd3594e3676543a221fe"),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", _REPORT_DIGESTS)
+def test_every_law_report_is_bit_identical_to_the_recorded_one(cfg, expected):
+    h = hashlib.sha256()
+    for r in check_all(cfg):
+        h.update(repr((r.law, repr(r.max_dev), r.status, r.witness)).encode())
+    assert h.hexdigest() == expected
+
+
+# --- violation counts ----------------------------------------------------------
+
+def test_a_passing_law_reports_no_violations():
+    reports = {r.law: r for r in check_all(SMALL)}
+    for line in SMALL_LINES:
+        law, status = line.split("\t")[:2]
+        if status == "pass":
+            assert reports[law].violations == 0
+    # each of the weak product's random trials and its fixed counterexample
+    assert reports["weak_product"].violations == SMALL.trials + 1
+
+
+def test_a_broken_combinator_violates_every_trial(monkeypatch):
+    import probfold.laws as laws_mod
+    from probfold.matrix import Matrix
+
+    cfg = TrialConfig(seed=1, trials=5, max_dim=6, tol=1e-9)
+    real = laws_mod.kron
+
+    def corrupted(m, n):
+        k = real(m, n)
+        data = k.data ** 2
+        return Matrix(k.col_dim, k.row_dim, data / data.sum(axis=0, keepdims=True))
+
+    monkeypatch.setattr(laws_mod, "kron", corrupted)
+    report = check_law("kron_def", cfg)
+    assert report.violations == report.trials == cfg.trials
+    assert report.line() == f"kron_def\tfail\t{report.max_dev:.3e}\t5"

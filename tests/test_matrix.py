@@ -120,6 +120,18 @@ def test_dim_memos_stay_bounded():
         assert memo.cache_info().currsize <= _MEMO_SIZE
 
 
+def test_a_sized_dim_is_not_kept_alive():
+    import gc
+    import weakref
+
+    dim = Product(Sum(Range(3), EnumDim(("x", "y"))), BOOLS)
+    assert dim.size == 10 and dim.size == 10
+    alive = weakref.ref(dim)
+    del dim
+    gc.collect()
+    assert alive() is None
+
+
 def test_structural_matrices_are_shared_read_only_values():
     b, c = Range(3), BOOLS
     assert identity(b) is identity(Range(3))
@@ -305,6 +317,21 @@ def test_to_probfn_round_trip_pointwise():
         assert set(got.support) == set(want.support)
         for v, mass in want.items():
             assert got.mass(v) == pytest.approx(mass, abs=1e-12)
+
+
+def test_to_probfn_builds_each_column_once():
+    m = random_cs_matrix(np.random.default_rng(5), EnumDim(("a", "b", "c")), Range(4))
+    f = to_probfn(m)
+    for a in ("a", "b", "c", "b"):
+        assert f(a) == m.column_dist(a)
+        assert f(a) is f(a)
+    for outside in ("d", 0, ("a",)):
+        with pytest.raises(KeyError):
+            f(outside)
+    g = to_probfn(identity(Range(3)))
+    assert g(2) == dirac(2)
+    with pytest.raises(KeyError):
+        g(3)
 
 
 def test_from_probfn_truncation_names_the_value():

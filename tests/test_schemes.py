@@ -15,7 +15,7 @@ from probfold.cases import (
     sq_algebras,
 )
 from probfold.dims import Product, Range, UNIT
-from probfold.dist import Dist, DomainError, bind, dirac, pair, tv_distance
+from probfold.dist import Dist, DomainError, ProbFn, bind, choice, dirac, marginals, pair, tv_distance
 from probfold.functors import CompF, ConstF, ForLoopF, IdF, ListF, SumF
 from probfold.matrix import (
     TruncationError,
@@ -462,3 +462,116 @@ def test_fold_fusion_flags_wrong_candidates():
     report = fold_fusion_check(post, fcat_algebra(0.1, ""), wrong, ["abc"])
     assert not report.ok
     assert report.side_condition_dev > 1e-3
+
+
+# --- one fold loop: every sub-input's fold on the way -------------------------------
+
+def _items(dists):
+    return [d.items() for d in dists]
+
+
+def test_the_fold_loop_yields_the_fold_of_every_sub_input():
+    from probfold.cases import fsum_algebra
+    from probfold.schemes import _folds, _mutual_folds
+
+    h, k = fib_algebras(0.1)
+    sq_h, sq_k = sq_algebras(0.1)
+    wrap = Algebra(_FOR, dirac(0), lambda s: choice(0.3, dirac((s + 1) % 3), dirac(s)))
+    for alg in (Algebra(_FOR, dirac(0), fadd(0.1, 2)), wrap, tupled_from_mutual(_FOR, h, k, ())[0],
+                tupled_from_mutual(_FOR, sq_h, sq_k, ())[0],
+                banana_split(_FOR, wrap, Algebra(_FOR, dirac(0), fadd(0.2, 1)))):
+        assert _items(_folds(_FOR.layers(alg.step, 8), alg.base)) == \
+            _items(cata_eval(_FOR, alg, n) for n in range(9))
+    for alg, xs in [(fcat_algebra(0.1, ""), "abcab"), (fcat_algebra(0.1, ()), (1, 2, 2, 3)),
+                    (fcount_algebra(0.2), "abcab"), (fsum_algebra(0.15), (0, 0, 1, 0, -1, 2)),
+                    (banana_split(_LIST, fsum_algebra(0.15), fcount_algebra(0.1)), (2, 3, 2))]:
+        assert _items(_folds(_LIST.layers(alg.step, xs), alg.base)) == \
+            _items(cata_eval(_LIST, alg, xs[i:]) for i in range(len(xs), -1, -1))
+    for n, (f, g) in enumerate(_mutual_folds(_FOR, h, k, 8)):
+        assert (f.items(), g.items()) == tuple(d.items() for d in mutual_eval(_FOR, h, k, n))
+
+
+def test_tupling_checks_repeated_unsorted_inputs_as_one_at_a_time():
+    from dataclasses import replace
+
+    from probfold.cases import sq_prime_algebras
+
+    inputs = (5, 0, 3, 3)
+    for h, k in (sq_algebras(0.1), fib_algebras(0.1), fib_algebras(0.0), sq_prime_algebras(0.1, 0.2)):
+        tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=iter(inputs))
+        assert report.tested_inputs == inputs
+        margins = [marginals(cata_eval(_FOR, tupled, n)) for n in inputs]
+        assert report.fst_sharp == all(left.is_dirac() for left, _ in margins)
+        assert report.snd_sharp == all(right.is_dirac() for _, right in margins)
+        singly = [tupled_from_mutual(_FOR, h, k, test_inputs=(n,))[1] for n in inputs]
+        assert report.fst_sharp == all(r.fst_sharp for r in singly)
+        assert report.snd_sharp == all(r.snd_sharp for r in singly)
+        assert replace(report, tested_inputs=(0, 3, 5)) == \
+            tupled_from_mutual(_FOR, h, k, test_inputs=(0, 3, 5))[1]
+    with pytest.raises(DomainError, match="input -1 is not a natural number"):
+        tupled_from_mutual(_FOR, *sq_algebras(0.1), test_inputs=(3, -1))
+
+
+# --- pairing any two continuations is a step ---------------------------------------------
+
+def _light(s):
+    return Dist({s: 1e-8, (s + 1) % 3: 1.0 - 1e-8})
+
+
+def _plain_pairings():
+    """(step, the per-value continuation it stands for, support to bind it on)
+    for banana-split and tupling of plain continuations, alone and beside a
+    fault step."""
+    rng = np.random.default_rng(11)
+    table = to_probfn(random_cs_matrix(rng, Range(3), Range(3)))
+    plain = Algebra(_FOR, dirac(0), lambda s: table(s))
+    light = Algebra(_FOR, dirac(0), _light)
+    fault = Algebra(_FOR, dirac(0), fadd(0.1, 1))
+    on_pairs = Dist({(a, b): w for (a, b), w in zip(
+        [(a, b) for a in range(3) for b in range(3)], [0.05, 0.1, 0.05, 0.2, 0.1, 0.1, 0.15, 0.05, 0.2])})
+    out = []
+    for f, g in ((plain, light), (light, light), (plain, fault), (fault, light)):
+        combined = banana_split(_FOR, f, g).step
+        out.append((combined, lambda v, f=f, g=g: pair(f.step(v[0]), g.step(v[1])), on_pairs))
+        tupled = tupled_from_mutual(_FOR, Algebra(_FOR, dirac(0), lambda s, f=f: f.step(s[0])),
+                                    Algebra(_FOR, dirac(0), lambda s, g=g: g.step(s[1])), ())[0].step
+        out.append((tupled, lambda v, f=f, g=g: pair(f.step(v[0]), g.step(v[1])), on_pairs))
+    f_list = Algebra(_LIST, dirac(0), lambda av: table((av[0] + av[1]) % 3))
+    g_list = Algebra(_LIST, dirac(0), lambda av: _light(av[1]))
+    on_lists = Dist({(a, (s, t)): 1 / 18 for a in (0, 1) for s in range(3) for t in range(3)})
+    out.append((banana_split(_LIST, f_list, g_list).step,
+                lambda av: pair(f_list.step((av[0], av[1][0])), g_list.step((av[0], av[1][1]))), on_lists))
+    return out
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_pairing_plain_continuations_gives_the_per_value_floats(index):
+    step, per_value, d = _plain_pairings()[index]
+    assert bind(d, step).items() == bind(d, per_value).items()
+    assert bind(d, ProbFn(step)).items() == bind(d, per_value).items()
+    for v in d:
+        assert step(v).items() == per_value(v).items()
+
+
+def test_paired_plain_continuations_keep_binds_errors():
+    def undefined_at_2(s):
+        return {0: dirac(0), 1: dirac(1)}[s]
+
+    def no_dist_at_2(s):
+        return dirac(s) if s != 2 else 0.5
+
+    d = Dist({(0, 1): 0.5, (2, 1): 0.5})
+    for partial in (undefined_at_2, no_dist_at_2):
+        f, g = Algebra(_FOR, dirac(0), partial), Algebra(_FOR, dirac(0), _light)
+        steps = [banana_split(_FOR, f, g).step,
+                 tupled_from_mutual(_FOR, Algebra(_FOR, dirac(0), lambda s: partial(s[0])),
+                                    Algebra(_FOR, dirac(0), lambda s: _light(s[1])), ())[0].step]
+        with pytest.raises(DomainError) as own:
+            bind(Dist({0: 0.5, 2: 0.5}), partial)
+        for step in steps:
+            with pytest.raises(DomainError) as paired:
+                bind(d, step)
+            assert str(paired.value) == str(own.value).removesuffix("2") + "(2, 1)"
+    with pytest.raises(DomainError) as per_value:
+        bind(d, lambda v: pair(undefined_at_2(v[0]), _light(v[1])))
+    assert str(per_value.value) == "continuation undefined at support value (2, 1)"
