@@ -527,8 +527,8 @@ def _plain_pairings():
     plain = Algebra(_FOR, dirac(0), lambda s: table(s))
     light = Algebra(_FOR, dirac(0), _light)
     fault = Algebra(_FOR, dirac(0), fadd(0.1, 1))
-    on_pairs = Dist({(a, b): w for (a, b), w in zip(
-        [(a, b) for a in range(3) for b in range(3)], [0.05, 0.1, 0.05, 0.2, 0.1, 0.1, 0.15, 0.05, 0.2])})
+    on_pairs = Dist(zip([(a, b) for a in range(3) for b in range(3)],
+                        [0.05, 0.1, 0.05, 0.2, 0.1, 0.1, 0.15, 0.05, 0.2]))
     out = []
     for f, g in ((plain, light), (light, light), (plain, fault), (fault, light)):
         combined = banana_split(_FOR, f, g).step
