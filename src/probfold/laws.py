@@ -26,7 +26,7 @@ from .cases import (
     fcount_algebra,
     fib_algebras,
 )
-from .dims import BOOLS, Dim, EnumDim, Product, Range, Sum, UNIT
+from .dims import _MEMO_SIZE, BOOLS, Dim, EnumDim, Product, Range, Sum, UNIT
 from .dist import Dist, DomainError, dirac, dist_map, kleisli, pair, tv_distance
 from .functors import CompF, ConstF, ForLoopF, FunctorDesc, IdF, ListF, SumF
 from .matrix import (
@@ -244,12 +244,25 @@ def _reconstruction(k: Matrix) -> Matrix:
     return khatri(*_projections(k))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _for_in(n_max: int) -> tuple[Matrix, Matrix]:
-    """The for-loop `in`, [zero | succ], on inputs 0..n_max and the inclusion of 0..n_max-1."""
+    """The for-loop `in`, [zero | succ], on inputs 0..n_max and the inclusion
+    of 0..n_max-1: constant matrices, memoised like the structural ones."""
     inputs, prev = Range(n_max + 1), Range(n_max)
     in_mat = junc(from_sharp_fn(lambda _u: 0, UNIT, inputs),
                   from_sharp_fn(lambda j: j + 1, prev, inputs))
     return in_mat, from_sharp_fn(lambda j: j, prev, inputs)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _list_in(alphabet_size: int, max_len: int) -> tuple[Matrix, Matrix]:
+    """The list `in`, [nil | cons], on the lists up to max_len over
+    range(alphabet_size) and the inclusion of the shorter ones, memoised."""
+    alphabet, lists = Range(alphabet_size), _list_dim(alphabet_size, max_len)
+    shorter = _list_dim(alphabet_size, max_len - 1)
+    in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
+                  from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
+    return in_mat, from_sharp_fn(lambda xs: xs, shorter, lists)
 
 
 def _khatri_entries(m: Matrix, n: Matrix) -> np.ndarray:
@@ -461,13 +474,12 @@ def _law_cata_universal(rng, cfg):
         in_mat, shift = _for_in(8)
         rec = k @ shift
     else:
-        alphabet, lists, shorter = Range(2), _list_dim(2, 4), _list_dim(2, 3)
+        alphabet = Range(2)
         step = _table_step(rng, [(a, s) for a in range(2) for s in range(carrier.size)], carrier)
         alg, step_dom = Algebra(ListF(alphabet), base, step), Product(alphabet, carrier)
-        k = _fold_matrix(alg, lists, carrier)
-        in_mat = junc(from_sharp_fn(lambda _u: (), UNIT, lists),
-                      from_sharp_fn(lambda av: (av[0],) + av[1], Product(alphabet, shorter), lists))
-        rec = kron(identity(alphabet), k @ from_sharp_fn(lambda xs: xs, shorter, lists))
+        k = _fold_matrix(alg, _list_dim(2, 4), carrier)
+        in_mat, inclusion = _list_in(2, 4)
+        rec = kron(identity(alphabet), k @ inclusion)
     alg_mat = junc(from_probfn(lambda _u: base, UNIT, carrier), from_probfn(step, step_dom, carrier))
     dev = max_dev(k @ in_mat, alg_mat @ oplus(identity(UNIT), rec))
     return dev, f"universal-property deviation {dev!r}"

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT
-from .dist import Dist, DomainError, ProbFn
+from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index
+from .dist import Dist, DomainError, ProbFn, _as_step, support_key
 
 CS_TOL = 1e-9
 
@@ -155,8 +156,18 @@ def identity(dim: Dim) -> Matrix:
     return Matrix(dim, dim, _Fresh(np.eye(dim.size)))
 
 
+def _zeros(col_dim: Dim, row_dim: Dim) -> np.ndarray:
+    """A zero float64 array for a col_dim -> row_dim matrix. A shape whose
+    bytes exceed the largest size numpy can address is a DomainError naming
+    the dims, not numpy's ``array is too big``."""
+    rows, cols = row_dim.size, col_dim.size
+    if rows * cols * 8 > sys.maxsize:
+        raise DomainError(f"a {rows}x{cols} matrix for {col_dim} -> {row_dim} is too large to allocate")
+    return np.zeros((rows, cols))
+
+
 def zeros(col_dim: Dim, row_dim: Dim) -> Matrix:
-    return Matrix(col_dim, row_dim, _Fresh(np.zeros((row_dim.size, col_dim.size))))
+    return Matrix(col_dim, row_dim, _Fresh(_zeros(col_dim, row_dim)))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -281,7 +292,7 @@ def inj_right(a: Dim, b: Dim) -> Matrix:
 
 def from_sharp_fn(fn: Callable[[Any], Any], col_dim: Dim, row_dim: Dim) -> Matrix:
     """Sharp matrix of a plain function between enumerated carriers."""
-    out = np.zeros((row_dim.size, col_dim.size))
+    out = _zeros(col_dim, row_dim)
     for j, a in enumerate(col_dim.elements()):
         b = fn(a)
         if b not in row_dim:
@@ -319,18 +330,29 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
 def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
                     strict: bool) -> tuple[Matrix, dict[int, list[tuple[Any, float]]]]:
     """The column loop behind both constructors; ``strict`` raises on the
-    first support value outside ``row_dim`` instead of recording it."""
-    out = np.zeros((row_dim.size, col_dim.size))
+    first support value outside ``row_dim`` instead of recording it.
+
+    Each column is read from the step's outcomes, with no Dist for a choice or
+    a pairing of choices. The values a column loses are put in support order,
+    so the escapes and the value strict mode names are those of f(a)."""
+    out = _zeros(col_dim, row_dim)
     escapes: dict[int, list[tuple[Any, float]]] = {}
+    outcomes, index = _as_step(f).outcomes, _index(row_dim)
     for j, a in enumerate(col_dim.elements()):
-        for v, m in f(a).items():
-            if v in row_dim:
-                out[row_dim.index_of(v), j] = m
-            elif strict:
-                raise TruncationError(f"support value {v!r} of input {a!r} escapes output dim {row_dim}")
+        lost = []
+        for v, m in outcomes(a):
+            i = index.get(v)
+            if i is None:
+                lost.append((v, m))
             else:
-                escapes.setdefault(j, []).append((v, m))
-    return Matrix(col_dim, row_dim, out), escapes
+                out[i, j] = m
+        if lost:
+            lost.sort(key=lambda vm: support_key(vm[0]))
+            if strict:
+                raise TruncationError(f"support value {lost[0][0]!r} of input {a!r} escapes output dim {row_dim}")
+            escapes[j] = lost
+    # every entry is a checked mass: a Dist's, a choice's weight or a product
+    return Matrix(col_dim, row_dim, _Fresh(out)), escapes
 
 
 def relabel(m: Matrix, col_dim: Dim | None = None, row_dim: Dim | None = None) -> Matrix:

@@ -26,6 +26,8 @@ from .matrix import (
     CS_TOL,
     Matrix,
     TruncationError,
+    _Fresh,
+    _zeros,
     fst_matrix,
     khatri,
     madd,
@@ -34,6 +36,11 @@ from .matrix import (
 
 _FOR, _LIST = ForLoopF(), ListF()
 _fst, _snd = itemgetter(0), itemgetter(1)
+
+# the fixpoint scatter-adds a body's nonzeros when nnz * _SPARSE_FILL <= M*M:
+# on a 2-core box, bincount over random columns beat BLAS gemv below 3% fill
+# at M=200, 4% at M=400 and M=1201, and 8% at M=601
+_SPARSE_FILL = 32
 
 
 def _folds(layers: Iterable[Callable], base: Any, join: Callable | None = None) -> Iterator:
@@ -110,11 +117,13 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     The result k solves k . in = [init | body . k_prev]: column 0 is ``init``
     and column j+1 is ``body`` applied to column j, the distribution after
     j+1 loop iterations. It is computed by that column recurrence, one
-    matrix-vector product per column. Before a column feeds the next, any
-    positive mass at a state listed in ``escapes`` (from
-    ``from_probfn_truncated``) raises TruncationError naming the escaped
-    value, with no threshold; mass lost through a body column that sums to
-    less than one raises once it exceeds 1e-12.
+    matrix-vector product per column: a scatter-add over the body's nonzeros
+    when at most one entry in ``_SPARSE_FILL`` is nonzero, else a dense
+    product. Before a column feeds the next, any positive mass at a state
+    listed in ``escapes`` (from ``from_probfn_truncated``) raises
+    TruncationError naming the escaped value, with no threshold; mass lost
+    through a body column that sums to less than one raises once it exceeds
+    1e-12.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise DomainError(f"n_max must be a natural number, got {n_max!r}")
@@ -124,11 +133,16 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
         raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
+    cols = Range(n_max + 1)
+    first = _zeros(cols, m_dim)
+    steps = _zeros(cols, m_dim)
     deficits = 1.0 - body.data.sum(axis=0)
     escaping = np.array(sorted(escapes or ()), dtype=np.intp)
-    first = np.zeros((m_dim.size, n_max + 1))
+    sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
+    if sparse:  # few nonzeros, as a choice of sharp functions has
+        dst, src = np.nonzero(body.data)  # entry (dst, src) moves mass from src to dst
+        weights = body.data[dst, src]
     first[:, 0] = init.data[:, 0]
-    steps = np.zeros_like(first)
     col = first[:, 0]
     for j in range(1, n_max + 1):
         reached = col[escaping]
@@ -140,10 +154,14 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
             raise TruncationError(
                 f"loop body loses mass from state {m_dim.elements()[state]!r} outside {m_dim}"
             )
-        col = body.data @ col
+        if sparse:
+            col = np.bincount(dst, weights=weights * col[src], minlength=m_dim.size)
+        else:
+            col = body.data @ col
         steps[:, j] = col
-    cols = Range(n_max + 1)
-    k = madd(Matrix(cols, m_dim, first), Matrix(cols, m_dim, steps))
+    # both parts are this function's own arrays of products of checked
+    # entries; madd's check catches any that overflowed
+    k = madd(Matrix(cols, m_dim, _Fresh(first)), Matrix(cols, m_dim, _Fresh(steps)))
     if not k.is_column_stochastic(CS_TOL):
         raise TruncationError(f"fixpoint result is not column-stochastic over {m_dim}")
     return k

@@ -143,6 +143,9 @@ def test_matrix_fixpoint_truncation_exits_1(capsys):
     ("matrix", "mfib", "--n", "99999999999999999999"),
     ("matrix", "ftwice_fixpoint", "--n", "99999999999999999999", "--m", "8"),
     ("matrix", "ftwice_fixpoint", "--n", "4", "--m", str(sys.maxsize)),
+    # indexable counts whose arrays numpy cannot size
+    ("matrix", "mfib", "--n", str(sys.maxsize - 1)),
+    ("matrix", "ftwice_fixpoint", "--n", str(sys.maxsize - 1), "--m", "8"),
 ])
 def test_counts_beyond_the_largest_index_are_one_error_line(argv):
     proc = run_module(*argv)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from probfold.dims import _MEMO_SIZE, BOOLS, EnumDim, Product, Range, Sum, UNIT, _elements, _index, inl, inr
-from probfold.dist import Dist, DomainError, dirac
+from probfold.dist import Dist, DomainError, _paired, dirac
 from probfold.matrix import (
     DimensionError,
     Matrix,
@@ -349,18 +349,25 @@ def test_from_probfn_truncated_records_escapes():
 
 def test_a_fault_step_gives_the_columns_of_its_dists():
     # column 5 of fadd(0.1, -2) loses both 5 and 3 from Range(3): the escapes
-    # and the first one named keep the order of the Dist at that column
-    step = fadd(0.1, -2)
-    per_value = lambda v: step(v)
-    m, escapes = from_probfn_truncated(step, Range(6), Range(3))
-    assert (m, escapes) == from_probfn_truncated(per_value, Range(6), Range(3))
-    assert escapes[5] == [(3, 0.9), (5, 0.1)]
-    messages = []
-    for f in (step, per_value):
-        with pytest.raises(TruncationError) as err:
-            from_probfn(f, EnumDim((5,)), Range(3))
-        messages.append(str(err.value))
-    assert messages[0] == messages[1] == "support value 3 of input 5 escapes output dim Range(n=3)"
+    # and the first one named keep the order of the Dist at that column, not
+    # the order of the choice's branches; so do the pairs that the pairing of
+    # two such choices loses from Range(3) x Range(3)
+    pairs = Product(Range(3), Range(3))
+    for step, rows, lost, first in [
+        (fadd(0.1, -2), Range(3), [3, 5], "3"),
+        (_paired(fadd(0.1, -2), fadd(0.2, -1)), pairs, [(3, 4), (3, 5), (5, 4), (5, 5)], "(3, 4)"),
+    ]:
+        per_value = lambda v, step=step: step(v)
+        m, escapes = from_probfn_truncated(step, Range(6), rows)
+        assert (m, escapes) == from_probfn_truncated(per_value, Range(6), rows)
+        assert [v for v, _ in escapes[5]] == lost
+        messages = []
+        for f in (step, per_value):
+            with pytest.raises(TruncationError) as err:
+                from_probfn(f, EnumDim((5,)), rows)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"support value {first} of input 5 escapes output dim {rows}"
+    assert from_probfn_truncated(fadd(0.1, -2), Range(6), Range(3))[1][5] == [(3, 0.9), (5, 0.1)]
 
 
 def test_sharp_embedding_is_functorial():

@@ -12,12 +12,14 @@ from probfold.cases import (
     fcount_algebra,
     consolidated_count_algebra,
     fib_algebras,
+    msql,
     sq_algebras,
 )
 from probfold.dims import Product, Range, UNIT
 from probfold.dist import Dist, DomainError, ProbFn, bind, choice, dirac, marginals, pair, tv_distance
 from probfold.functors import CompF, ConstF, ForLoopF, IdF, ListF, SumF
 from probfold.matrix import (
+    Matrix,
     TruncationError,
     from_probfn,
     from_probfn_truncated,
@@ -29,6 +31,7 @@ from probfold.matrix import (
 )
 from probfold.laws import random_cs_matrix
 from probfold.schemes import (
+    _SPARSE_FILL,
     Algebra,
     banana_split,
     base_choice_split,
@@ -235,12 +238,31 @@ def test_fixpoint_detects_reachable_escape():
     assert "10" in str(err.value)
 
 
+def _doubling_body_at_the_cutoff(p, m, side):
+    """The doubling loop's pieces over 0..m, its odd columns below m spread
+    over more rows: to just under the sparse kernel's fill for side 0, just
+    over it for side 1. From 0 the loop reaches only even states, so the
+    padding changes the body's fill, not the mass it moves."""
+    states, body, init, escapes = _ftwice_pieces(p, m)
+    odd = np.arange(1, m, 2)
+    spare = body.data.size // _SPARSE_FILL - np.count_nonzero(body.data)
+    per_col = 2 + spare // odd.size + side
+    data = body.data.copy()
+    data[:, odd] = 0.0
+    data[:per_col, odd] = 1.0 / per_col
+    assert (np.count_nonzero(data) * _SPARSE_FILL <= data.size) == (side == 0)
+    return states, Matrix(states, states, data), init, escapes
+
+
 def test_fixpoint_detects_escape_below_any_threshold():
-    # state 398, whose step escapes to 400, first carries mass 0.8**199 ~ 5e-20
-    states, body, init, escapes = _ftwice_pieces(0.2, 399)
-    with pytest.raises(TruncationError) as err:
-        matrix_cata_fixpoint(body, init, 200, states, escapes=escapes)
-    assert "at value 400" in str(err.value)
+    # state 398, whose step escapes to 400, first carries mass 0.8**199 ~ 5e-20;
+    # so it does with the body padded to either side of the sparse kernel's cutoff
+    for states, body, init, escapes in (_ftwice_pieces(0.2, 399),
+                                        _doubling_body_at_the_cutoff(0.2, 399, 0),
+                                        _doubling_body_at_the_cutoff(0.2, 399, 1)):
+        with pytest.raises(TruncationError) as err:
+            matrix_cata_fixpoint(body, init, 200, states, escapes=escapes)
+        assert "at value 400" in str(err.value)
 
 
 def test_fixpoint_rejects_negative_input_count():
@@ -275,6 +297,43 @@ def test_fixpoint_sharp_body_gives_doubling_matrix():
     for j in range(4):
         assert k.data[2 * j, j] == 1.0
     assert k.data.sum() == 4.0
+
+
+def _power_columns(body, init, n_max):
+    """Column j is body^j . init, by repeated matrix powers."""
+    return np.column_stack([np.linalg.matrix_power(body.data, j) @ init.data[:, 0]
+                            for j in range(n_max + 1)])
+
+
+@pytest.mark.parametrize("kernel", ["sparse", "dense"])
+def test_both_recurrence_kernels_match_matrix_powers(kernel):
+    n_max = 40
+    if kernel == "sparse":  # the doubling loop's banded body
+        states, body, init, escapes = _ftwice_pieces(0.3, 2 * n_max)
+    else:
+        rng = np.random.default_rng(9)
+        states, escapes = Range(30), None
+        body, init = random_cs_matrix(rng, states, states), random_cs_matrix(rng, UNIT, states)
+    sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
+    assert sparse == (kernel == "sparse")
+    k = matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+    assert np.max(np.abs(k.data - _power_columns(body, init, n_max))) <= 1e-12
+
+
+def test_tupled_square_as_a_fixpoint_over_its_pair_states_equals_msql():
+    # the tupled step pairs two choices; its body over the pair states is
+    # read from their outcomes, and column n of the fixpoint is msql's joint
+    p, n_max = 0.1, 8
+    h, k = sq_algebras(p)
+    tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
+    squares, odds = Range(n_max ** 2 + 1), Range(2 * n_max + 2)
+    states = Product(squares, odds)
+    body, escapes = from_probfn_truncated(tupled.step, states, states)
+    init = from_probfn(lambda _u: tupled.base, UNIT, states)
+    fix = matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
+    for n in range(n_max + 1):
+        marginal = fix.data[:, n].reshape(squares.size, odds.size).sum(axis=1)
+        assert tv_distance(Dist(zip(squares.elements(), marginal)), msql(p, n)) <= 1e-12
 
 
 # --- unzip ----------------------------------------------------------------------
