@@ -106,43 +106,38 @@ def sq_prime_algebras(p: float, q: float) -> tuple[Algebra, Algebra]:
     return h, k
 
 
+def _tupled(algebras: tuple[Algebra, Algebra], n: int) -> tuple[Dist, Dist]:
+    """Both marginals of the tupled for-loop of a mutually recursive pair, at n."""
+    tupled, _ = tupled_from_mutual(_FOR, *algebras, test_inputs=())
+    return marginals(cata_eval(_FOR, tupled, n))
+
+
 def mfib(p: float, n: int) -> Dist:
-    h, k = fib_algebras(p)
-    return mutual_eval(_FOR, h, k, n)[0]
+    return mutual_eval(_FOR, *fib_algebras(p), n)[0]
 
 
 def mfibl(p: float, n: int) -> Dist:
-    h, k = fib_algebras(p)
-    tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, n))[0]
+    return _tupled(fib_algebras(p), n)[0]
 
 
 def msq(p: float, n: int) -> Dist:
-    h, k = sq_algebras(p)
-    return mutual_eval(_FOR, h, k, n)[0]
+    return mutual_eval(_FOR, *sq_algebras(p), n)[0]
 
 
 def msql(p: float, n: int) -> Dist:
-    h, k = sq_algebras(p)
-    tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, n))[0]
+    return _tupled(sq_algebras(p), n)[0]
 
 
 def msqlo(p: float, n: int) -> Dist:
-    h, k = sq_algebras(p)
-    tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, n))[1]
+    return _tupled(sq_algebras(p), n)[1]
 
 
 def msq_prime(p: float, q: float, n: int) -> Dist:
-    h, k = sq_prime_algebras(p, q)
-    return mutual_eval(_FOR, h, k, n)[0]
+    return mutual_eval(_FOR, *sq_prime_algebras(p, q), n)[0]
 
 
 def msql_prime(p: float, q: float, n: int) -> Dist:
-    h, k = sq_prime_algebras(p, q)
-    tupled, _ = tupled_from_mutual(_FOR, h, k, test_inputs=())
-    return marginals(cata_eval(_FOR, tupled, n))[0]
+    return _tupled(sq_prime_algebras(p, q), n)[0]
 
 
 def ftwice(p: float, n: int) -> Dist:

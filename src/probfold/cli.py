@@ -8,6 +8,8 @@ Exit codes: 0 all good, 1 any mismatch / carrier violation / law failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import re
 import sys
@@ -16,13 +18,12 @@ import numpy as np
 
 from .cases import ALIASES, CaseParams, REGISTRY, fadd, run_case
 from .dims import BOOLS, Range, UNIT
-from .dist import (Dist, DomainError, DistributionError, canonical_value, dirac, percent_string,
+from .dist import (Dist, DomainError, DistributionError, canonical_value, dirac, pair, percent_string,
                    render, tv_distance)
-from .laws import CATALOGUE, TrialConfig, check_law, risk_preorder
+from .laws import CATALOGUE, TrialConfig, _reconstruction, check_law, risk_preorder
 from .matrix import (
     Matrix,
     TruncationError,
-    csv_number,
     from_probfn,
     from_probfn_truncated,
     from_sharp_fn,
@@ -109,15 +110,24 @@ def cmd_cases(parser, args) -> int:
 
 
 def _table_lines(m: Matrix, header: bool) -> list[str]:
-    cells = [[csv_number(x) for x in row] for row in m.data]
-    col_labels = [str(v) for v in m.col_dim.elements()]
-    row_labels = [str(v) for v in m.row_dim.elements()]
-    if header:
-        rows = [[""] + col_labels] + [[lab] + row for lab, row in zip(row_labels, cells)]
-    else:
-        rows = cells
+    """The cells of the CSV export, right-aligned in columns."""
+    rows = list(csv.reader(io.StringIO(m.to_csv(header))))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return [" ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+
+
+def _matrix_of(name: str, p: float, q: float, n: int, m: int) -> Matrix:
+    """The matrix ``probfold matrix NAME`` prints: inputs 0..n as columns and
+    outputs 0..m as rows (the faulty negation is over the booleans)."""
+    if name == "fneg":
+        return mat_choice(p, from_sharp_fn(lambda _b: False, BOOLS, BOOLS),
+                          from_sharp_fn(lambda b: not b, BOOLS, BOOLS))
+    states = Range(m + 1)
+    if name == "ftwice_fixpoint":
+        body, escapes = from_probfn_truncated(fadd(p, 2), states, states)
+        init = from_probfn(lambda _u: dirac(0), UNIT, states)
+        return matrix_cata_fixpoint(body, init, n, states, escapes=escapes)
+    return from_probfn(lambda j: run_case(name, CaseParams(p=p, q=q, input=j)), Range(n + 1), states)
 
 
 def cmd_matrix(parser, args) -> int:
@@ -127,21 +137,7 @@ def cmd_matrix(parser, args) -> int:
         print(f"error: --n and --m must be naturals below {sys.maxsize}", file=sys.stderr)
         return 1
     try:
-        if args.name == "fneg":
-            const_false = from_sharp_fn(lambda _b: False, BOOLS, BOOLS)
-            negation = from_sharp_fn(lambda b: not b, BOOLS, BOOLS)
-            m = mat_choice(args.p, const_false, negation)
-        elif args.name == "ftwice_fixpoint":
-            states = Range(args.m + 1)
-            body, escapes = from_probfn_truncated(fadd(args.p, 2), states, states)
-            init = from_probfn(lambda _u: dirac(0), UNIT, states)
-            m = matrix_cata_fixpoint(body, init, args.n, states, escapes=escapes)
-        else:
-            cols, rows = Range(args.n + 1), Range(args.m + 1)
-            m = from_probfn(
-                lambda j: run_case(args.name, CaseParams(p=args.p, q=args.q, input=j)),
-                cols, rows,
-            )
+        m = _matrix_of(args.name, args.p, args.q, args.n, args.m)
     except (DomainError, DistributionError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -224,10 +220,7 @@ def _section(title: str, tables: list[reference.GoldenTable]) -> tuple[list[str]
 
 
 def _fixpoint_section() -> tuple[list[str], bool]:
-    states = Range(9)
-    body, escapes = from_probfn_truncated(fadd(0.1, 2), states, states)
-    init = from_probfn(lambda _u: dirac(0), UNIT, states)
-    m = matrix_cata_fixpoint(body, init, 4, states, escapes=escapes)
+    m = _matrix_of("ftwice_fixpoint", 0.1, 0.0, 4, 8)
     ok = True
     for i, row in enumerate(reference.FIXPOINT_ROWS):
         for j, printed in enumerate(row):
@@ -249,19 +242,15 @@ def _fixpoint_section() -> tuple[list[str], bool]:
 
 
 def _counterexample_section() -> tuple[list[str], bool]:
-    from .matrix import fst_matrix, khatri, snd_matrix
-
     k = reference.counterexample_matrix()
-    b, c = Range(2), Range(3)
-    recon = khatri(fst_matrix(b, c) @ k, snd_matrix(b, c) @ k)
+    recon = _reconstruction(k)
     dev = max_dev(recon, k)
     col0 = recon.data[:, 0]
     col_ok = bool(np.max(np.abs(col0 - np.array(reference.RECONSTRUCTION_COL0))) <= 1e-12)
     dev_ok = dev >= 0.2
     f2 = Dist(reference.F_AT_2)
     g2 = Dist(reference.G_AT_2)
-    from .dist import pair as dist_pair
-    paired = dist_pair(f2, g2)
+    paired = pair(f2, g2)
     pair_ok = all(abs(paired.mass(v) * 100.0 - pct) <= 0.05 + 1e-12 for v, pct in reference.PAIR_AT_2)
     ok = col_ok and dev_ok and pair_ok
     lines = ["## Pair-valued matrix not recoverable from its projections", "",
@@ -290,11 +279,9 @@ def _divergence_section() -> tuple[list[str], bool]:
 
 def _risk_section() -> tuple[list[str], bool]:
     fib = [0, 1, 1, 2, 3, 5, 8]
-    inputs = Range(7)
-    outputs = Range(9)
-    g = from_probfn(lambda n: run_case("mfib", CaseParams(p=0.1, input=n)), inputs, outputs)
-    h = from_probfn(lambda n: run_case("mfibl", CaseParams(p=0.1, input=n)), inputs, outputs)
-    f = from_sharp_fn(lambda n: fib[n], inputs, outputs)
+    g = _matrix_of("mfib", 0.1, 0.0, 6, 8)
+    h = _matrix_of("mfibl", 0.1, 0.0, 6, 8)
+    f = from_sharp_fn(lambda n: fib[n], g.col_dim, g.row_dim)
     rep = risk_preorder(g, h, f)
     ok = rep.dominates
     lines = ["## Risk preorder: the linear version dominates the recursive one", "",

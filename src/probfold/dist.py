@@ -40,7 +40,8 @@ def canonical_value(value: Any) -> Any:
 
 
 def support_key(value: Any):
-    """Sort key giving a total order across the supported value kinds."""
+    """Sort key giving a total order across the supported value kinds; any
+    other value is a DomainError."""
     if isinstance(value, bool):
         return (0, int(value))
     if isinstance(value, (int, float)):
@@ -49,7 +50,7 @@ def support_key(value: Any):
         return (2, value)
     if isinstance(value, tuple):
         return (3, tuple(support_key(x) for x in value))
-    raise TypeError(f"unorderable support value {value!r}")
+    raise DomainError(f"unorderable support value {value!r}")
 
 
 _NUMBERS = frozenset((int, float))
@@ -81,10 +82,11 @@ class Dist:
 
     The constructor accepts a mapping or an iterable of (value, mass) pairs;
     duplicate values accumulate. Each entry is canonicalised and checked for
-    NaN and negative mass, except when the monad's own operations pass their
-    already-checked accumulator. Sub-distributions are always rejected -- the
-    total mass must be 1 within ``PROPER_TOL`` -- and there is deliberately no
-    silent renormalization (see ``normalize`` for test scaffolding).
+    an unhashable value and for NaN or negative mass, except when the monad's
+    own operations pass their already-checked accumulator. Sub-distributions
+    are always rejected -- the total mass must be 1 within ``PROPER_TOL`` --
+    and there is deliberately no silent renormalization (see ``normalize`` for
+    test scaffolding).
     """
 
     __slots__ = ("_mass",)
@@ -102,7 +104,10 @@ class Dist:
                     raise DistributionError(f"NaN mass at {value!r}")
                 if m < 0.0:
                     raise DistributionError(f"negative mass {m!r} at {value!r}")
-                acc[value] = acc.get(value, 0.0) + m
+                try:
+                    acc[value] = acc.get(value, 0.0) + m
+                except TypeError:  # only hashing the value can fail here
+                    raise DomainError(f"unhashable support value {value!r}") from None
         acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
         total = math.fsum(acc.values())
         if abs(total - 1.0) > PROPER_TOL:

@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index
-from .dist import Dist, DomainError, ProbFn, _as_step, support_key
+from .dist import Dist, DomainError, ProbFn, _as_step, dirac, support_key
 
 CS_TOL = 1e-9
 
@@ -166,10 +166,6 @@ def _zeros(col_dim: Dim, row_dim: Dim) -> np.ndarray:
     return np.zeros((rows, cols))
 
 
-def zeros(col_dim: Dim, row_dim: Dim) -> Matrix:
-    return Matrix(col_dim, row_dim, _Fresh(_zeros(col_dim, row_dim)))
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def bang(dim: Dim) -> Matrix:
     """The all-ones row vector A -> 1 (the sharp constant function)."""
@@ -228,21 +224,21 @@ def khatri(m: Matrix, n: Matrix) -> Matrix:
     return Matrix(m.col_dim, Product(m.row_dim, n.row_dim), _computed(data))
 
 
+def _same_dims(m: Matrix, n: Matrix, what: str) -> None:
+    """The check of the entry-wise combinators: equal column and row dims."""
+    if m.col_dim != n.col_dim or m.row_dim != n.row_dim:
+        raise DimensionError(f"{what}: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}")
+
+
 def hadamard(m: Matrix, n: Matrix) -> Matrix:
     """Entry-wise product."""
-    if m.col_dim != n.col_dim or m.row_dim != n.row_dim:
-        raise DimensionError(
-            f"hadamard needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
-        )
+    _same_dims(m, n, "hadamard needs identical dims")
     return Matrix(m.col_dim, m.row_dim, _computed(m.data * n.data))
 
 
 def madd(m: Matrix, n: Matrix) -> Matrix:
     """Entry-wise sum (used by choice and fixpoint accumulation)."""
-    if m.col_dim != n.col_dim or m.row_dim != n.row_dim:
-        raise DimensionError(
-            f"matrix sum needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
-        )
+    _same_dims(m, n, "matrix sum needs identical dims")
     return Matrix(m.col_dim, m.row_dim, _computed(m.data + n.data))
 
 
@@ -251,10 +247,7 @@ def mat_choice(p: float, m: Matrix, n: Matrix) -> Matrix:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"choice probability {p!r} outside [0, 1]")
-    if m.col_dim != n.col_dim or m.row_dim != n.row_dim:
-        raise DimensionError(
-            f"choice needs identical dims: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
-        )
+    _same_dims(m, n, "choice needs identical dims")
     return Matrix(m.col_dim, m.row_dim, _computed(p * m.data + (1.0 - p) * n.data))
 
 
@@ -291,14 +284,9 @@ def inj_right(a: Dim, b: Dim) -> Matrix:
 
 
 def from_sharp_fn(fn: Callable[[Any], Any], col_dim: Dim, row_dim: Dim) -> Matrix:
-    """Sharp matrix of a plain function between enumerated carriers."""
-    out = _zeros(col_dim, row_dim)
-    for j, a in enumerate(col_dim.elements()):
-        b = fn(a)
-        if b not in row_dim:
-            raise TruncationError(f"value {b!r} (image of {a!r}) escapes output dim {row_dim}")
-        out[row_dim.index_of(b), j] = 1.0
-    return Matrix(col_dim, row_dim, out)
+    """Sharp matrix of a plain function between enumerated carriers: the
+    matrix of the probabilistic function a -> dirac(fn(a))."""
+    return from_probfn(lambda a: dirac(fn(a)), col_dim, row_dim)
 
 
 def from_probfn(f: ProbFn | Callable[[Any], Dist], col_dim: Dim | None = None,
@@ -383,10 +371,7 @@ def to_probfn(m: Matrix) -> ProbFn:
 
 def max_dev(m: Matrix, n: Matrix) -> float:
     """Largest entry-wise absolute difference of equally-typed matrices."""
-    if m.col_dim != n.col_dim or m.row_dim != n.row_dim:
-        raise DimensionError(
-            f"cannot compare: {m.col_dim}->{m.row_dim} vs {n.col_dim}->{n.row_dim}"
-        )
+    _same_dims(m, n, "cannot compare")
     return data_dev(m, n)
 
 

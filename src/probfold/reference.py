@@ -3,8 +3,8 @@
 Each golden table fixes a case, its fault rates, an input, and the expected
 percentage per support value (one decimal, half away from zero). ``complete``
 marks tables that list the whole support; incomplete ones only pin the listed
-lines. The matrix constants pin the doubling-loop fixpoint, the faulty
-negation, and the pair-projection counterexample.
+lines. The matrix constants pin the doubling-loop fixpoint and the
+pair-projection counterexample.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ FIXPOINT_ROWS: tuple[tuple[str, ...], ...] = (
     ("0", "0", "0", "0", "0"),
     ("0", "0", "0", "0", "0.6561"),
 )
-
-# faulty negation at fault rate 0.05 (False column first)
-FNEG_ROWS: tuple[tuple[float, ...], ...] = ((0.05, 1.0), (0.95, 0.0))
 
 # the pair-valued matrix k : 3 -> 2x3 that is NOT recoverable from its projections
 COUNTEREXAMPLE_K_ROWS: tuple[tuple[float, ...], ...] = (

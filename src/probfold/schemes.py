@@ -123,7 +123,8 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     listed in ``escapes`` (from ``from_probfn_truncated``) raises
     TruncationError naming the escaped value, with no threshold; mass lost
     through a body column that sums to less than one raises once it exceeds
-    1e-12.
+    1e-12. A body column that sums to more than one creates mass: a
+    DomainError naming its state, before any column is computed.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise DomainError(f"n_max must be a natural number, got {n_max!r}")
@@ -133,10 +134,16 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
         raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
+    sums = body.data.sum(axis=0)
+    created = np.flatnonzero(sums > 1.0 + CS_TOL)
+    if created.size:
+        state = int(created[0])
+        raise DomainError(f"loop body creates mass: the column of state {m_dim.elements()[state]!r} "
+                          f"sums to {float(sums[state])!r}")
     cols = Range(n_max + 1)
     first = _zeros(cols, m_dim)
     steps = _zeros(cols, m_dim)
-    deficits = 1.0 - body.data.sum(axis=0)
+    deficits = 1.0 - sums
     escaping = np.array(sorted(escapes or ()), dtype=np.intp)
     sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
     if sparse:  # few nonzeros, as a choice of sharp functions has

@@ -1,5 +1,6 @@
 """CLI tests: output formats, exit codes, the reproduction report."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from probfold.cli import main
+from probfold.cli import _MATRIX_NAMES, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -16,6 +17,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def output_digest(code, out, err):
+    """SHA-256 of a run's exit code, stdout and stderr."""
+    return hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
 
 
 def run_module(*argv):
@@ -166,6 +172,60 @@ def test_matrix_table_format(capsys):
     assert out.splitlines()[0].split() == ["0.05", "1"]
 
 
+# every matrix name under three flag sets: stdout, stderr and exit code, as
+# printed by the implementation these digests were recorded from
+_MATRIX_FLAGS = {
+    "default": (),
+    "table": ("--p", "0.1", "--q", "0.2", "--format", "table", "--header"),
+    "small": ("--p", "0.1", "--q", "0.2", "--n", "3", "--m", "9", "--header"),
+}
+_MATRIX_DIGESTS = {
+    "default": {
+        "ftwice_fixpoint": "ea4691ff5771390edd762d3f9d05f159d3b9fd8cc4802530351a9974ed38b67a",
+        "fneg": "93396cf6af51077f332580615e87efa919bd3d0ea642a608968d8f4b2e68763a",
+        "mfib": "9ad5cf498afbd2a245b2747362cc50802f0fa462660a99eac1e5f03ea1953dce",
+        "mfibl": "9ad5cf498afbd2a245b2747362cc50802f0fa462660a99eac1e5f03ea1953dce",
+        "msq": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msql": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msqlo": "4aae426f4fec81161f51af24e8c702af733d6fa28366e33d8b8aba7b12a217ec",
+        "msq'": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msql'": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "ftwice": "ea4691ff5771390edd762d3f9d05f159d3b9fd8cc4802530351a9974ed38b67a",
+    },
+    "table": {
+        "ftwice_fixpoint": "fe2230bc1f4a38a3d7fbd7f9a5b876030990a927a050f23873a3aadc9043eb7e",
+        "fneg": "91097ee8b3d7ba9b4959e3e59ad57e4635ecd8a5ff6c98a95d1704d8cb75ef50",
+        "mfib": "075f3114c31cd837cf6209090455c8afaa7ab7166bf9173bb08e4737460c6c64",
+        "mfibl": "075f3114c31cd837cf6209090455c8afaa7ab7166bf9173bb08e4737460c6c64",
+        "msq": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msql": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msqlo": "4aae426f4fec81161f51af24e8c702af733d6fa28366e33d8b8aba7b12a217ec",
+        "msq'": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "msql'": "adbec5e63a82064a493e3553df94ec006d15b9e5b778548d0f72e25561a3f8ee",
+        "ftwice": "fe2230bc1f4a38a3d7fbd7f9a5b876030990a927a050f23873a3aadc9043eb7e",
+    },
+    "small": {
+        "ftwice_fixpoint": "e080c1f945c609e7da7b850a9f1596a7cfd19c515cf8764d6f7d8e2a7f167b04",
+        "fneg": "4bad324f34802bb7665dfcd1c87646fd90b4d76b3ba3d6350b54c88383810d60",
+        "mfib": "8ffb89a7efcb52a32bc77abfad769b082247e731cec82229332b5fe12592945e",
+        "mfibl": "8ffb89a7efcb52a32bc77abfad769b082247e731cec82229332b5fe12592945e",
+        "msq": "082db5ae37831c7ff54d34d80627bdc0c8ae86ae08321794ad1d4aae9bbbf5e2",
+        "msql": "082db5ae37831c7ff54d34d80627bdc0c8ae86ae08321794ad1d4aae9bbbf5e2",
+        "msqlo": "08b0d8fa61dfa5725cc639a5cd202bbdf2fe1debec5cebc9f461b70466f6bd89",
+        "msq'": "253d87e4c83419a48560bfe052e25ba88a36c6494023c20e72a495acdff0849e",
+        "msql'": "d69eab907f9c340603d76f551f1626e0898fce55a7f21034e2373804c91eb3c0",
+        "ftwice": "e080c1f945c609e7da7b850a9f1596a7cfd19c515cf8764d6f7d8e2a7f167b04",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_MATRIX_FLAGS))
+def test_matrix_outputs_are_pinned(capsys, flags):
+    digests = {name: output_digest(*run_cli(capsys, "matrix", name, *_MATRIX_FLAGS[flags]))
+               for name in _MATRIX_NAMES}
+    assert digests == _MATRIX_DIGESTS[flags]
+
+
 # --- laws ----------------------------------------------------------------------
 
 def test_laws_single_law_line(capsys):
@@ -222,6 +282,13 @@ def test_report_regeneration_is_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, "report", str(a), "--trials", "2")[0] == 0
     assert run_cli(capsys, "report", str(b), "--trials", "2")[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_markdown_is_pinned(tmp_path, capsys):
+    path = tmp_path / "report.md"
+    assert run_cli(capsys, "report", str(path), "--seed", "1", "--trials", "3")[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6c5afce9a80ebc612209f42b08c08650eb1d60783d8a6ef32673c0030ffdbf5e")
 
 
 def test_report_unwritable_path_exits_1(tmp_path, capsys):

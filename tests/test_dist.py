@@ -87,6 +87,14 @@ def test_lists_are_canonicalized_to_tuples():
     assert d.mass((1, 2)) == 1.0
 
 
+@pytest.mark.parametrize("value", [None, object(), {1: 2}], ids=["none", "object", "dict"])
+def test_a_value_that_cannot_be_a_support_value_is_a_domain_error(value):
+    for make in (lambda v: Dist([(v, 1.0)]), dirac):
+        with pytest.raises(DomainError) as err:
+            make(value)
+        assert repr(value) in str(err.value)
+
+
 def test_choice_definition_and_boundaries():
     d = choice(0.05, dirac(False), dirac(True))
     assert d.mass(True) == pytest.approx(0.95, abs=1e-15)

@@ -370,6 +370,28 @@ def test_a_fault_step_gives_the_columns_of_its_dists():
     assert from_probfn_truncated(fadd(0.1, -2), Range(6), Range(3))[1][5] == [(3, 0.9), (5, 0.1)]
 
 
+def test_entrywise_combinators_name_both_typings_on_a_dim_mismatch():
+    m, n = identity(Range(2)), identity(BOOLS)
+    typings = "Range(n=2)->Range(n=2) vs Bools()->Bools()"
+    for op, prefix in ((hadamard, "hadamard needs identical dims"), (madd, "matrix sum needs identical dims"),
+                       (lambda a, b: mat_choice(0.5, a, b), "choice needs identical dims"),
+                       (max_dev, "cannot compare")):
+        with pytest.raises(DimensionError) as err:
+            op(m, n)
+        assert str(err.value) == f"{prefix}: {typings}"
+
+
+def test_sharp_function_escape_names_the_value_and_its_input():
+    with pytest.raises(TruncationError) as err:
+        from_sharp_fn(lambda a: 5, Range(2), Range(2))
+    assert str(err.value) == "support value 5 of input 0 escapes output dim Range(n=2)"
+
+
+def test_sharp_function_image_that_is_no_support_value_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"\{1: 2\}"):
+        from_sharp_fn(lambda a: {1: 2}, Range(2), Range(2))
+
+
 def test_sharp_embedding_is_functorial():
     f = lambda x: (x + 1) % 4
     g = lambda x: (3 * x) % 4

@@ -286,6 +286,17 @@ def test_fixpoint_rejects_counts_beyond_the_largest_index(n_max):
         matrix_cata_fixpoint(body, init, n_max, states, escapes=escapes)
 
 
+@pytest.mark.parametrize("weight", [1.5, 1e300])
+def test_fixpoint_rejects_a_body_that_creates_mass(weight):
+    # nothing escapes: state 0's column sums above 1, which no loop body may do
+    d = Range(2)
+    body = Matrix(d, d, [[weight, 0.0], [0.0, 1.0]])
+    init = from_sharp_fn(lambda _u: 0, UNIT, d)
+    with pytest.raises(DomainError) as err:
+        matrix_cata_fixpoint(body, init, 3, d)
+    assert str(err.value) == f"loop body creates mass: the column of state 0 sums to {weight!r}"
+
+
 def test_loop_counts_beyond_the_largest_index_are_rejected():
     with pytest.raises(DomainError, match="exceeds the largest supported count"):
         for_loop(lambda s: dirac(s + 1), dirac(0), sys.maxsize + 1)
