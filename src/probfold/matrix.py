@@ -382,7 +382,3 @@ def data_dev(m: Matrix, n: Matrix) -> float:
     if m.data.size == 0:
         return 0.0
     return float(np.max(np.abs(m.data - n.data)))
-
-
-def matrices_close(m: Matrix, n: Matrix, tol: float = CS_TOL) -> bool:
-    return max_dev(m, n) <= tol

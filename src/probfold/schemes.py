@@ -123,8 +123,9 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     listed in ``escapes`` (from ``from_probfn_truncated``) raises
     TruncationError naming the escaped value, with no threshold; mass lost
     through a body column that sums to less than one raises once it exceeds
-    1e-12. A body column that sums to more than one creates mass: a
-    DomainError naming its state, before any column is computed.
+    1e-12. An ``init`` that does not sum to one, an ``escapes`` key that is
+    not a state's index, and a body column that sums to more than one (it
+    creates mass) are each a DomainError, raised before any column is computed.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise DomainError(f"n_max must be a natural number, got {n_max!r}")
@@ -134,6 +135,12 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
         raise DomainError(f"loop body must be square over {m_dim}, got {body.col_dim}->{body.row_dim}")
     if init.col_dim != UNIT or init.row_dim != m_dim:
         raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
+    mass = float(init.data.sum())
+    if abs(mass - 1.0) > CS_TOL:
+        raise DomainError(f"init must be a distribution over {m_dim}, but it sums to {mass!r}")
+    bad = [key for key in escapes or () if key not in range(m_dim.size)]
+    if bad:
+        raise DomainError(f"escapes key {bad[0]!r} is not the index of a state of {m_dim}")
     sums = body.data.sum(axis=0)
     created = np.flatnonzero(sums > 1.0 + CS_TOL)
     if created.size:

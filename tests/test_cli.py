@@ -288,7 +288,7 @@ def test_report_markdown_is_pinned(tmp_path, capsys):
     path = tmp_path / "report.md"
     assert run_cli(capsys, "report", str(path), "--seed", "1", "--trials", "3")[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6c5afce9a80ebc612209f42b08c08650eb1d60783d8a6ef32673c0030ffdbf5e")
+        "788ca3c710a7ccdaea706748b53cb55e2f5dda32f70c27d4b2283bf4c34ca722")
 
 
 def test_report_unwritable_path_exits_1(tmp_path, capsys):

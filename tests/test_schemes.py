@@ -297,6 +297,25 @@ def test_fixpoint_rejects_a_body_that_creates_mass(weight):
     assert str(err.value) == f"loop body creates mass: the column of state 0 sums to {weight!r}"
 
 
+@pytest.mark.parametrize("mass", [2.0, 0.5])
+def test_fixpoint_rejects_an_init_that_is_not_a_distribution(mass):
+    # nothing escapes and the body keeps mass: only init's sum is wrong
+    d = Range(2)
+    with pytest.raises(DomainError) as err:
+        matrix_cata_fixpoint(identity(d), Matrix(UNIT, d, [[mass], [0.0]]), 3, d)
+    assert str(err.value) == f"init must be a distribution over {d}, but it sums to {mass!r}"
+
+
+@pytest.mark.parametrize("key", [-1, 2])
+def test_fixpoint_rejects_escapes_keys_that_are_not_states(key):
+    # -1 would name the last state, where init puts all its mass; 2 is past the end
+    d = Range(2)
+    init = from_sharp_fn(lambda _u: 1, UNIT, d)
+    with pytest.raises(DomainError) as err:
+        matrix_cata_fixpoint(identity(d), init, 3, d, escapes={key: [(9, 0.1)]})
+    assert str(err.value) == f"escapes key {key} is not the index of a state of {d}"
+
+
 def test_loop_counts_beyond_the_largest_index_are_rejected():
     with pytest.raises(DomainError, match="exceeds the largest supported count"):
         for_loop(lambda s: dirac(s + 1), dirac(0), sys.maxsize + 1)
