@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Real
 from operator import itemgetter
 from typing import Any, Callable
 
-from .dist import Dist, DomainError, ProbFn, _Choice, bind, canonical_value, dirac, marginals, pair
+from .dist import (Dist, DomainError, ProbFn, _Choice, _check_prob, bind, canonical_value, dirac, marginals,
+                   pair)
 from .functors import ForLoopF, ListF
 from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tupled_from_mutual
 
@@ -49,13 +49,6 @@ def _identity(y):
 
 def _zero(_y):
     return 0
-
-
-def _check_prob(value: float, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"{name}={value!r} is not a real number")
-    if not 0.0 <= float(value) <= 1.0:
-        raise DomainError(f"{name}={value!r} outside [0, 1]")
 
 
 _FOR = ForLoopF()

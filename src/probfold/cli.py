@@ -1,8 +1,12 @@
 """Command-line front end: case tables, matrix dumps, the law suite, and the
 consolidated reproduction report.
 
-Exit codes: 0 all good, 1 any mismatch / carrier violation / law failure,
-2 usage errors (argparse).
+Every command runs through ``main``, which turns its outcome into an exit code:
+0 all good; 1 a mismatch, a law failure, an unwritable report path, or any
+typed library error (a carrier violation, escaping mass, an improper
+distribution), printed as one ``error:`` line; 2 a usage error: argparse's
+own, a rate outside [0, 1], a bad trial setting, or a missing
+``--n``/``--input``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import numpy as np
 
 from .cases import ALIASES, CaseParams, REGISTRY, fadd, run_case
 from .dims import BOOLS, Range, UNIT
-from .dist import (Dist, DomainError, DistributionError, canonical_value, dirac, pair, percent_string,
-                   render, tv_distance)
-from .laws import CATALOGUE, TrialConfig, _reconstruction, check_law, risk_preorder
+from .dist import (Dist, DomainError, DistributionError, _check_prob, canonical_value, dirac, pair,
+                   percent_string, render, tv_distance)
+from .laws import CATALOGUE, TrialConfig, _reconstruction, check_all, check_law, risk_preorder
 from .matrix import (
     Matrix,
     TruncationError,
@@ -41,8 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="probfold",
                                      description="fault-injected programs, stochastic matrices, law checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    trial = argparse.ArgumentParser(add_help=False)
+    trial.add_argument("--seed", type=int, default=1)
+    trial.add_argument("--trials", type=int, default=1000)
+    trial.add_argument("--max-dim", type=int, default=6)
+    trial.add_argument("--tol", type=float, default=1e-9)
 
     cases = sub.add_parser("cases", help="run a case study and print its distribution")
+    cases.set_defaults(run=cmd_cases)
     cases.add_argument("name", choices=sorted(REGISTRY) + sorted(ALIASES))
     cases.add_argument("--p", type=float, default=0.0, help="primary fault rate")
     cases.add_argument("--q", type=float, default=0.0, help="secondary fault rate")
@@ -51,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="string or comma-separated integers")
 
     matrix = sub.add_parser("matrix", help="print a case as a stochastic matrix")
+    matrix.set_defaults(run=cmd_matrix)
     matrix.add_argument("name", choices=sorted(_MATRIX_NAMES))
     matrix.add_argument("--p", type=float, default=0.0)
     matrix.add_argument("--q", type=float, default=0.0)
@@ -59,20 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--format", choices=("csv", "table"), default="csv")
     matrix.add_argument("--header", action="store_true", help="label rows and columns")
 
-    laws = sub.add_parser("laws", help="run the randomized law suite")
+    laws = sub.add_parser("laws", parents=[trial], help="run the randomized law suite")
+    laws.set_defaults(run=cmd_laws)
     laws.add_argument("--law", choices=sorted(CATALOGUE), help="check one law only")
-    laws.add_argument("--seed", type=int, default=1)
-    laws.add_argument("--trials", type=int, default=1000)
-    laws.add_argument("--max-dim", type=int, default=6)
-    laws.add_argument("--tol", type=float, default=1e-9)
     laws.add_argument("--verbose", action="store_true", help="dump witnesses")
 
-    report = sub.add_parser("report", help="write the consolidated reproduction report")
+    report = sub.add_parser("report", parents=[trial], help="write the consolidated reproduction report")
+    report.set_defaults(run=cmd_report)
     report.add_argument("output", help="path of the markdown file to write")
-    report.add_argument("--seed", type=int, default=1)
-    report.add_argument("--trials", type=int, default=1000)
-    report.add_argument("--max-dim", type=int, default=6)
-    report.add_argument("--tol", type=float, default=1e-9)
     return parser
 
 
@@ -82,30 +87,14 @@ def _parse_input(text: str):
     return text
 
 
-def _check_rate(parser, value: float, flag: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        parser.error(f"{flag} must be in [0, 1], got {value}")
-
-
 def cmd_cases(parser, args) -> int:
-    _check_rate(parser, args.p, "--p")
-    _check_rate(parser, args.q, "--q")
     name = ALIASES.get(args.name, args.name)
-    kind = REGISTRY[name].kind
-    if kind == "nat":
-        if args.n is None:
-            parser.error(f"case {name!r} needs --n")
-        value = args.n
-    else:
-        if args.input_ is None:
-            parser.error(f"case {name!r} needs --input")
-        value = _parse_input(args.input_)
-    try:
-        dist = run_case(name, CaseParams(p=args.p, q=args.q, input=value))
-    except (DomainError, DistributionError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(render(dist))
+    flag, value = ("--n", args.n) if REGISTRY[name].kind == "nat" else ("--input", args.input_)
+    if value is None:
+        parser.error(f"case {name!r} needs {flag}")
+    if isinstance(value, str):
+        value = _parse_input(value)
+    print(render(run_case(name, CaseParams(p=args.p, q=args.q, input=value))))
     return 0
 
 
@@ -131,16 +120,9 @@ def _matrix_of(name: str, p: float, q: float, n: int, m: int) -> Matrix:
 
 
 def cmd_matrix(parser, args) -> int:
-    _check_rate(parser, args.p, "--p")
-    _check_rate(parser, args.q, "--q")
     if not (0 <= args.n < sys.maxsize and 0 <= args.m < sys.maxsize):  # n+1 columns, m+1 rows
-        print(f"error: --n and --m must be naturals below {sys.maxsize}", file=sys.stderr)
-        return 1
-    try:
-        m = _matrix_of(args.name, args.p, args.q, args.n, args.m)
-    except (DomainError, DistributionError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise DomainError(f"--n and --m must be naturals below {sys.maxsize}")
+    m = _matrix_of(args.name, args.p, args.q, args.n, args.m)
     if args.format == "csv":
         sys.stdout.write(m.to_csv(header=args.header))
     else:
@@ -149,14 +131,10 @@ def cmd_matrix(parser, args) -> int:
 
 
 def cmd_laws(parser, args) -> int:
-    try:
-        cfg = TrialConfig(seed=args.seed, trials=args.trials, max_dim=args.max_dim, tol=args.tol)
-    except DomainError as exc:
-        parser.error(str(exc))
     names = [args.law] if args.law else list(CATALOGUE)
     failed = False
     for name in names:
-        rep = check_law(name, cfg)
+        rep = check_law(name, args.cfg)
         print(rep.line())
         if args.verbose and rep.witness:
             print(rep.witness)
@@ -165,11 +143,7 @@ def cmd_laws(parser, args) -> int:
 
 
 def cmd_report(parser, args) -> int:
-    try:
-        cfg = TrialConfig(seed=args.seed, trials=args.trials, max_dim=args.max_dim, tol=args.tol)
-    except DomainError as exc:
-        parser.error(str(exc))
-    text, ok = build_report(cfg)
+    text, ok = build_report(args.cfg)
     try:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -214,8 +188,6 @@ def _section(title: str, tables: list[reference.GoldenTable]) -> tuple[list[str]
         lines.append("|---|---|---|---|---|")
         lines.extend(rows)
         lines.append("")
-    lines.append(f"**Section {'PASS' if ok else 'FAIL'}**")
-    lines.append("")
     return lines, ok
 
 
@@ -236,8 +208,7 @@ def _fixpoint_section() -> tuple[list[str], bool]:
     lines = ["## Doubling loop: 9x5 matrix fixpoint (p=0.1, inputs 0..4, outputs 0..8)", "",
              "```", m.to_csv().rstrip("\n"), "```", "",
              f"Every printed entry matches at its printed precision and the closed binomial "
-             f"form within 1e-12: {'yes' if ok else 'NO'}", "",
-             f"**Section {'PASS' if ok else 'FAIL'}**", ""]
+             f"form within 1e-12: {'yes' if ok else 'NO'}", ""]
     return lines, ok
 
 
@@ -258,8 +229,7 @@ def _counterexample_section() -> tuple[list[str], bool]:
              "```", recon.to_csv().rstrip("\n"), "```", "",
              f"- max entry deviation from k: {dev:.4f} (expected >= 0.2): {'yes' if dev_ok else 'NO'}",
              f"- first reconstructed column matches the known values within 1e-12: {'yes' if col_ok else 'NO'}",
-             f"- pairing of the two projection factors at input 2 matches: {'yes' if pair_ok else 'NO'}",
-             "", f"**Section {'PASS' if ok else 'FAIL'}**", ""]
+             f"- pairing of the two projection factors at input 2 matches: {'yes' if pair_ok else 'NO'}", ""]
     return lines, ok
 
 
@@ -272,8 +242,7 @@ def _divergence_section() -> tuple[list[str], bool]:
     lines = ["## Expected inequality: disturbed square, recursive vs linear", "",
              "With the second fault injected into the odd-number counter, neither projection "
              "stays sharp, so the two versions legitimately differ.", "",
-             f"- TV(msq' 3, msql' 3) = {tv:.4f} (expected >= 0.05): {'yes' if ok else 'NO'}",
-             "", f"**Section {'PASS' if ok else 'FAIL'}**", ""]
+             f"- TV(msq' 3, msql' 3) = {tv:.4f} (expected >= 0.05): {'yes' if ok else 'NO'}", ""]
     return lines, ok
 
 
@@ -288,8 +257,7 @@ def _risk_section() -> tuple[list[str], bool]:
              "| input | recursive mass at correct value | linear mass at correct value |",
              "|---|---|---|"]
     lines += [f"| {col.input} | {col.g_mass:.6f} | {col.h_mass:.6f} |" for col in rep.columns]
-    lines += ["", f"**Section {'PASS' if ok else 'FAIL'}**", ""]
-    return lines, ok
+    return lines + [""], ok
 
 
 def build_report(cfg: TrialConfig) -> tuple[str, bool]:
@@ -309,41 +277,38 @@ def build_report(cfg: TrialConfig) -> tuple[str, bool]:
         ("Faulty sum and count, paired vs single fold",
          ["favg [2,3]", "favg [2,3] (single fold)"]),
     ]
-    ok = True
+    sections = [_section(title, [tables[k] for k in keys]) for title, keys in groups]
+    sections += [_fixpoint_section(), _counterexample_section(), _divergence_section(), _risk_section()]
     lines = ["# Reproduction report", "",
              f"Configuration: seed={cfg.seed}, trials={cfg.trials}, max_dim={cfg.max_dim}, "
              f"tol={cfg.tol}, table tolerance 0.05 percentage points per line.", ""]
-    for title, keys in groups:
-        sec, sec_ok = _section(title, [tables[k] for k in keys])
-        lines += sec
-        ok = ok and sec_ok
-    for builder in (_fixpoint_section, _counterexample_section, _divergence_section, _risk_section):
-        sec, sec_ok = builder()
-        lines += sec
-        ok = ok and sec_ok
-
-    lines += ["## Law suite", "", "```"]
-    law_ok = True
-    for name in CATALOGUE:
-        rep = check_law(name, cfg)
-        lines.append(rep.line())
-        law_ok = law_ok and rep.status != "fail"
-    lines += ["```", "", f"**Law suite {'PASS' if law_ok else 'FAIL'}**", ""]
-    ok = ok and law_ok
-    lines += [f"**Overall: {'PASS' if ok else 'FAIL'}**", ""]
+    for sec, sec_ok in sections:
+        lines += sec + [f"**Section {'PASS' if sec_ok else 'FAIL'}**", ""]
+    reports = check_all(cfg)
+    law_ok = all(rep.status != "fail" for rep in reports)
+    ok = law_ok and all(sec_ok for _, sec_ok in sections)
+    lines += ["## Law suite", "", "```", *(rep.line() for rep in reports), "```", "",
+              f"**Law suite {'PASS' if law_ok else 'FAIL'}**", "",
+              f"**Overall: {'PASS' if ok else 'FAIL'}**", ""]
     return "\n".join(lines), ok
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cases":
-        return cmd_cases(parser, args)
-    if args.command == "matrix":
-        return cmd_matrix(parser, args)
-    if args.command == "laws":
-        return cmd_laws(parser, args)
-    return cmd_report(parser, args)
+    try:
+        for flag in ("p", "q"):
+            if flag in args:
+                _check_prob(getattr(args, flag), f"--{flag}")
+        if "seed" in args:
+            args.cfg = TrialConfig(seed=args.seed, trials=args.trials, max_dim=args.max_dim, tol=args.tol)
+    except DomainError as exc:
+        parser.error(str(exc))
+    try:
+        return args.run(parser, args)
+    except (DomainError, DistributionError, TruncationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

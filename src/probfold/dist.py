@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import chain
+from numbers import Real
 from typing import Any, Callable, Iterable, Iterator
 
 from .dims import Dim
@@ -30,6 +31,16 @@ class DistributionError(ValueError):
 
 class DomainError(ValueError):
     """An argument left its declared domain (probability range, carrier...)."""
+
+
+def _check_prob(value: float, name: str) -> float:
+    """``value`` as a float, if it is a real number in [0, 1]; otherwise a
+    DomainError naming ``name`` and the value. Text and bools are not rates."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name}={value!r} is not a real number")
+    if not 0.0 <= float(value) <= 1.0:
+        raise DomainError(f"{name}={value!r} outside [0, 1]")
+    return float(value)
 
 
 def canonical_value(value: Any) -> Any:
@@ -150,9 +161,7 @@ def dirac(value: Any) -> Dist:
 
 def choice(p: float, d: Dist, e: Dist) -> Dist:
     """Convex combination: take ``d`` with probability p, else ``e``."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"choice probability {p!r} outside [0, 1]")
+    p = _check_prob(p, "p")
     acc = _Masses()
     for v, m in d._mass.items():
         acc[v] = acc.get(v, 0.0) + p * m

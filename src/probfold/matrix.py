@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index
-from .dist import Dist, DomainError, ProbFn, _as_step, dirac, support_key
+from .dist import Dist, DomainError, ProbFn, _as_step, _check_prob, dirac, support_key
 
 CS_TOL = 1e-9
 
@@ -244,9 +244,7 @@ def madd(m: Matrix, n: Matrix) -> Matrix:
 
 def mat_choice(p: float, m: Matrix, n: Matrix) -> Matrix:
     """Probabilistic choice p*m + (1-p)*n of equally-typed matrices."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"choice probability {p!r} outside [0, 1]")
+    p = _check_prob(p, "p")
     _same_dims(m, n, "choice needs identical dims")
     return Matrix(m.col_dim, m.row_dim, _computed(p * m.data + (1.0 - p) * n.data))
 

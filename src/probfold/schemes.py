@@ -126,6 +126,9 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     1e-12. An ``init`` that does not sum to one, an ``escapes`` key that is
     not a state's index, and a body column that sums to more than one (it
     creates mass) are each a DomainError, raised before any column is computed.
+    Mass created within the tolerance compounds over the loop: a result column
+    summing to more than one is a DomainError naming its input, and one that
+    lost mass, step by step below 1e-12, a TruncationError.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise DomainError(f"n_max must be a natural number, got {n_max!r}")
@@ -142,11 +145,7 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     if bad:
         raise DomainError(f"escapes key {bad[0]!r} is not the index of a state of {m_dim}")
     sums = body.data.sum(axis=0)
-    created = np.flatnonzero(sums > 1.0 + CS_TOL)
-    if created.size:
-        state = int(created[0])
-        raise DomainError(f"loop body creates mass: the column of state {m_dim.elements()[state]!r} "
-                          f"sums to {float(sums[state])!r}")
+    _check_no_mass_created(sums, m_dim, "state")
     cols = Range(n_max + 1)
     first = _zeros(cols, m_dim)
     steps = _zeros(cols, m_dim)
@@ -176,9 +175,19 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     # both parts are this function's own arrays of products of checked
     # entries; madd's check catches any that overflowed
     k = madd(Matrix(cols, m_dim, _Fresh(first)), Matrix(cols, m_dim, _Fresh(steps)))
+    _check_no_mass_created(k.data.sum(axis=0), cols, "input")
     if not k.is_column_stochastic(CS_TOL):
         raise TruncationError(f"fixpoint result is not column-stochastic over {m_dim}")
     return k
+
+
+def _check_no_mass_created(sums: np.ndarray, dim: Dim, what: str) -> None:
+    """DomainError naming the first column of ``dim`` whose total exceeds one."""
+    created = np.flatnonzero(sums > 1.0 + CS_TOL)
+    if created.size:
+        i = int(created[0])
+        raise DomainError(f"loop body creates mass: the column of {what} {dim.elements()[i]!r} "
+                          f"sums to {float(sums[i])!r}")
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -306,9 +315,9 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     ``candidate``.
 
     The fusion side condition is verified pointwise over a finite region of
-    g's carrier: either ``carrier_values`` x ``alphabet`` when given, or the
-    states actually reachable while folding the test inputs. The pipelines
-    themselves are then compared on every test input.
+    g's carrier: either ``carrier_values`` x ``alphabet`` when given (the two
+    go together), or the states actually reachable while folding the test
+    inputs. The pipelines themselves are then compared on every test input.
     """
     inputs = [xs if isinstance(xs, str) else tuple(xs) for xs in test_inputs]
 
@@ -318,9 +327,7 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     points: list[tuple[Any, Any]] = []
     if carrier_values is not None:
         if alphabet is None:
-            declared = getattr(g_alg.functor, "alphabet", None)
-            alphabet = (declared.elements() if declared is not None
-                        else sorted({a for xs in inputs for a in xs}, key=repr))
+            raise DomainError("fold_fusion_check needs an alphabet to go with carrier_values")
         points = [(a, s) for a in alphabet for s in carrier_values]
     else:
         seen = set()

@@ -26,7 +26,9 @@ from probfold.cases import (
     msql_prime,
     run_case,
 )
-from probfold.dist import DomainError, dirac, tv_distance
+from probfold.dims import BOOLS
+from probfold.dist import DomainError, choice, dirac, tv_distance
+from probfold.matrix import identity, mat_choice
 from probfold import reference
 
 
@@ -93,11 +95,13 @@ def test_bad_rates_are_rejected_at_every_input_size():
 
 
 def test_rates_that_are_not_real_numbers_are_rejected():
+    # one rule for every rate: the cases, the faulty steps and both choice operators
     for rate in ("0.1", True, None):
         cause = f"p={rate!r} is not a real number"
         with pytest.raises(DomainError, match=cause):
             run_case("fsum", CaseParams(p=rate, input=(1, 2)))
-        for fn, args in [(mfib, (3,)), (ftwice, (3,)), (fsum, ((1, 2),)), (fadd, (2,))]:
+        for fn, args in [(mfib, (3,)), (ftwice, (3,)), (fsum, ((1, 2),)), (fadd, (2,)),
+                         (choice, (dirac(0), dirac(1))), (mat_choice, (identity(BOOLS), identity(BOOLS)))]:
             with pytest.raises(DomainError, match=cause):
                 fn(rate, *args)
         with pytest.raises(DomainError, match=f"q={rate!r} is not a real number"):

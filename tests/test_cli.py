@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from probfold import cli, laws
 from probfold.cli import _MATRIX_NAMES, main
+from probfold.dist import DomainError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -92,6 +94,15 @@ def test_cases_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cases", "mfib"])  # missing --n
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [(("cases", "mfib", "--p", "1.5", "--n", "1"), "--p"),
+                                        (("matrix", "fneg", "--q", "nan"), "--q")])
+def test_a_bad_rate_is_a_usage_error_naming_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: {flag}" in capsys.readouterr().err
 
 
 # --- matrix --------------------------------------------------------------------
@@ -264,6 +275,19 @@ def test_laws_bad_flags_exit_2(capsys):
 
 
 # --- report ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["laws", "report"])
+def test_a_library_error_in_any_command_is_one_error_line(monkeypatch, tmp_path, capsys, command):
+    def broken(name, cfg):
+        raise DomainError(f"law {name} broke")
+    for module in (cli, laws):
+        monkeypatch.setattr(module, "check_law", broken)
+    path = tmp_path / "report.md"
+    argv = ["laws"] if command == "laws" else ["report", str(path)]
+    code, out, err = run_cli(capsys, *argv, "--trials", "2")
+    assert (code, out, err) == (1, "", "error: law compose_mult broke\n")
+    assert not path.exists()
+
 
 def test_report_writes_passing_markdown(tmp_path, capsys):
     out_path = tmp_path / "report.md"

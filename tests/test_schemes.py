@@ -297,6 +297,22 @@ def test_fixpoint_rejects_a_body_that_creates_mass(weight):
     assert str(err.value) == f"loop body creates mass: the column of state 0 sums to {weight!r}"
 
 
+def test_fixpoint_names_mass_that_a_tolerated_surplus_creates_over_the_loop():
+    # 1 + 5e-10 passes the body check, but the surplus compounds: input 3's column
+    # sums to 1 + 1.5e-9, although nothing escaped
+    d = Range(1)
+    with pytest.raises(DomainError, match=r"^loop body creates mass: the column of input 3 sums to 1\.0000000015"):
+        matrix_cata_fixpoint(Matrix(d, d, [[1 + 5e-10]]), Matrix(UNIT, d, [[1.0]]), 10, d)
+
+
+def test_fixpoint_mass_lost_below_the_step_threshold_is_a_truncation():
+    # each step loses 5e-13, under the 1e-12 step check; from input 2001 on the
+    # loss exceeds the column tolerance
+    d = Range(1)
+    with pytest.raises(TruncationError, match="not column-stochastic"):
+        matrix_cata_fixpoint(Matrix(d, d, [[1 - 5e-13]]), Matrix(UNIT, d, [[1.0]]), 3000, d)
+
+
 @pytest.mark.parametrize("mass", [2.0, 0.5])
 def test_fixpoint_rejects_an_init_that_is_not_a_distribution(mass):
     # nothing escapes and the body keeps mass: only init's sum is wrong
@@ -551,6 +567,14 @@ def test_fold_fusion_flags_wrong_candidates():
     report = fold_fusion_check(post, fcat_algebra(0.1, ""), wrong, ["abc"])
     assert not report.ok
     assert report.side_condition_dev > 1e-3
+
+
+def test_fold_fusion_carrier_values_need_an_alphabet():
+    count = fcount_algebra(0.15)
+    post = lambda s: cata_eval(_LIST, count, s)
+    with pytest.raises(DomainError, match="alphabet"):
+        fold_fusion_check(post, fcat_algebra(0.1, ""), consolidated_count_algebra(0.1, 0.15), ["abc"],
+                          carrier_values=["", "a"])
 
 
 # --- one fold loop: every sub-input's fold on the way -------------------------------
