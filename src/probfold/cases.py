@@ -21,7 +21,7 @@ from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tu
 def fadd(p: float, x: int) -> ProbFn:
     """Faulty addition of x: with probability p it acts as the identity."""
     _check_prob(p, "p")
-    return ProbFn(_Choice(((p, _identity), (1.0 - p, lambda y: x + y))))
+    return ProbFn(_Choice(((p, _identity), (1.0 - p, _add(x)))))
 
 
 def _fadd(p: float, x: float, y: float) -> Dist:
@@ -32,7 +32,7 @@ def _fadd(p: float, x: float, y: float) -> Dist:
 def fadd_zero(q: float, x: int) -> ProbFn:
     """Faulty addition of x that resets to 0 with probability q."""
     _check_prob(q, "q")
-    return ProbFn(_Choice(((q, _zero), (1.0 - q, lambda y: x + y))))
+    return ProbFn(_Choice(((q, _zero), (1.0 - q, _add(x)))))
 
 
 def fadd_combined(p: float, q: float, x: int) -> ProbFn:
@@ -40,7 +40,19 @@ def fadd_combined(p: float, q: float, x: int) -> ProbFn:
     identity with probability (1-q)*p, and is correct with probability 1-p."""
     _check_prob(p, "p")
     _check_prob(q, "q")
-    return ProbFn(_Choice(((q * p, _zero), ((1.0 - q) * p, _identity), (1.0 - p, lambda y: x + y))))
+    return ProbFn(_Choice(((q * p, _zero), ((1.0 - q) * p, _identity), (1.0 - p, _add(x)))))
+
+
+def _add(x) -> Callable[[Any], Any]:
+    """The correct branch y -> x + y of a faulty addition, for a real ``x``."""
+    if not _is_real(x):
+        raise DomainError(f"addend x={x!r} is not a real number")
+    return lambda y: x + y
+
+
+def _is_real(a) -> bool:
+    """An int or float, not a bool, with a finite float value."""
+    return not isinstance(a, bool) and isinstance(a, (int, float)) and abs(a) <= sys.float_info.max
 
 
 def _identity(y):
@@ -173,8 +185,7 @@ def _check_reals(xs) -> None:
         raise DomainError(f"input {xs!r} is text, not numbers; summing cases take comma-separated integers")
     if isinstance(xs, (str, list, tuple)):
         for a in xs:
-            if (isinstance(a, bool) or not isinstance(a, (int, float))
-                    or not abs(a) <= sys.float_info.max):
+            if not _is_real(a):
                 raise DomainError(f"element {a!r} of input {xs!r} is not a real number")
 
 

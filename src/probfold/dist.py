@@ -206,12 +206,8 @@ def bind(d: Dist, k: Callable[[Any], Dist]) -> Dist:
 
 
 def dist_map(d: Dist, f: Callable[[Any], Any]) -> Dist:
-    """Push ``d`` forward through a plain (sharp) function."""
-    acc = _Masses()
-    for v, m in d._mass.items():
-        w = canonical_value(f(v))
-        acc[w] = acc.get(w, 0.0) + m
-    return Dist(acc)
+    """Push ``d`` forward through a plain (sharp) function: ``bind`` of a one-branch choice."""
+    return bind(d, _Choice(((1.0, lambda v: canonical_value(f(v))),)))
 
 
 def pair(d: Dist, e: Dist) -> Dist:

@@ -32,8 +32,8 @@ from .dims import _MEMO_SIZE, BOOLS, Dim, EnumDim, Product, Range, Sum, UNIT
 from .dist import Dist, DomainError, dirac, dist_map, kleisli, pair, tv_distance
 from .functors import CompF, ConstF, ForLoopF, FunctorDesc, IdF, ListF, SumF
 from .matrix import (
-    DimensionError,
     Matrix,
+    _same_dims,
     compose,
     converse,
     data_dev,
@@ -90,7 +90,7 @@ class TrialConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not 2 <= self.max_dim <= 12:
             raise DomainError(f"max_dim must be in 2..12, got {self.max_dim}")
-        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < math.inf):
+        if isinstance(self.tol, bool) or not (isinstance(self.tol, (int, float)) and 0 < self.tol < math.inf):
             raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
@@ -112,10 +112,10 @@ class LawReport:
 # ---------------------------------------------------------------------------
 # random instance generators
 
-def random_dim(rng: np.random.Generator, max_size: int, depth: int = 2) -> Dim:
-    """A random dimension of total size 1..max_size, nesting depth <= depth."""
+def random_dim(rng: np.random.Generator, max_size: int) -> Dim:
+    """A random dimension of total size 1..max_size, nesting depth <= 2."""
     size = int(rng.integers(1, max_size + 1))
-    return _structured(rng, size, depth)
+    return _structured(rng, size, 2)
 
 
 def _structured(rng, size: int, depth: int) -> Dim:
@@ -462,34 +462,23 @@ def _law_cata_universal(rng, cfg):
     carrier = _range(rng, 2, 5)
     base = random_dist(rng, carrier)
     if rng.random() < 0.5:
-        step = _table_step(rng, list(range(carrier.size)), carrier)
-        alg, step_dom = Algebra(_FOR, base, step), carrier
-        k = _fold_matrix(alg, Range(9), carrier)
-        in_mat, shift = _for_in(8)
-        rec = k @ shift
+        functor, inputs, (in_mat, inclusion) = _FOR, Range(9), _for_in(8)
     else:
-        alphabet = Range(2)
-        step = _table_step(rng, [(a, s) for a in range(2) for s in range(carrier.size)], carrier)
-        alg, step_dom = Algebra(ListF(alphabet), base, step), Product(alphabet, carrier)
-        k = _fold_matrix(alg, _list_dim(2, 4), carrier)
-        in_mat, inclusion = _list_in(2, 4)
-        rec = kron(identity(alphabet), k @ inclusion)
+        functor, inputs, (in_mat, inclusion) = ListF(Range(2)), _list_dim(2, 4), _list_in(2, 4)
+    step_dom = functor.on_dim(carrier).right
+    step = _table_step(rng, step_dom, carrier)
+    k = _fold_matrix(Algebra(functor, base, step), inputs, carrier)
     alg_mat = junc(from_probfn(lambda _u: base, UNIT, carrier), from_probfn(step, step_dom, carrier))
-    dev = max_dev(k @ in_mat, alg_mat @ oplus(identity(UNIT), rec))
+    dev = max_dev(k @ in_mat, alg_mat @ functor.on_matrix(k @ inclusion))
     return dev, f"universal-property deviation {dev!r}"
 
 
 def _law_banana_split(rng, cfg):
     c1, c2 = _range(rng, 2, 5), _range(rng, 2, 5)
-    loop = rng.random() < 0.5
-    alphabet = () if loop else tuple(range(int(rng.integers(1, 3))))
-    functor = _FOR if loop else ListF()
-    algebras = []
-    for c in (c1, c2):
-        keys = c.elements() if loop else [(a, s) for a in alphabet for s in c.elements()]
-        algebras.append(Algebra(functor, random_dist(rng, c), _table_step(rng, keys, c)))
-    f_alg, g_alg = algebras
-    value = int(rng.integers(0, 7)) if loop else _random_list(rng, alphabet, 5)
+    functor = _FOR if rng.random() < 0.5 else ListF(_range(rng, 1, 3))
+    f_alg, g_alg = (Algebra(functor, random_dist(rng, c), _table_step(rng, functor.on_dim(c).right, c))
+                    for c in (c1, c2))
+    value = int(rng.integers(0, 7)) if functor == _FOR else _random_list(rng, functor.alphabet.elements(), 5)
     combined = banana_split(functor, f_alg, g_alg)
     lhs = pair(cata_eval(functor, f_alg, value), cata_eval(functor, g_alg, value))
     dev = tv_distance(lhs, cata_eval(functor, combined, value))
@@ -750,10 +739,8 @@ def risk_preorder(g: Matrix, h: Matrix, f: Matrix) -> RiskReport:
     """
     if not f.is_sharp():
         raise DomainError("the reference matrix must be sharp")
-    if g.col_dim != f.col_dim or g.row_dim != f.row_dim:
-        raise DimensionError("g must have the reference's dims")
-    if h.col_dim != f.col_dim or h.row_dim != f.row_dim:
-        raise DimensionError("h must have the reference's dims")
+    _same_dims(g, f, "g must have the reference's dims")
+    _same_dims(h, f, "h must have the reference's dims")
     g_mass = hadamard(g, f).data.sum(axis=0)
     h_mass = hadamard(h, f).data.sum(axis=0)
     cols = tuple(

@@ -23,10 +23,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index
-from .dist import Dist, DomainError, ProbFn, _as_step, _check_prob, dirac, support_key
-
-CS_TOL = 1e-9
+from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index, inl, inr
+from .dist import PROPER_TOL, Dist, DomainError, ProbFn, _as_step, _check_prob, dirac, support_key
 
 
 class DimensionError(TypeError):
@@ -99,11 +97,11 @@ class Matrix:
         col = self.data[:, self.col_dim.index_of(col_value)]
         return Dist(zip(self.row_dim.elements(), col))
 
-    def is_column_stochastic(self, tol: float = CS_TOL) -> bool:
+    def is_column_stochastic(self, tol: float = PROPER_TOL) -> bool:
         sums = self.data.sum(axis=0)
         return bool(np.all(np.abs(sums - 1.0) <= tol))
 
-    def is_sharp(self, tol: float = CS_TOL) -> bool:
+    def is_sharp(self, tol: float = PROPER_TOL) -> bool:
         """Column-stochastic with a single entry within tol of 1 per column."""
         if not self.is_column_stochastic(tol):
             return False
@@ -115,11 +113,8 @@ class Matrix:
         writer = csv.writer(out, lineterminator="\n")
         if header:
             writer.writerow([""] + [str(v) for v in self.col_dim.elements()])
-            for label, row in zip(self.row_dim.elements(), self.data):
-                writer.writerow([str(label)] + [csv_number(x) for x in row])
-        else:
-            for row in self.data:
-                writer.writerow([csv_number(x) for x in row])
+        for label, row in zip(self.row_dim.elements(), self.data):
+            writer.writerow(([str(label)] if header else []) + [csv_number(x) for x in row])
         return out.getvalue()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -267,18 +262,14 @@ def snd_matrix(b: Dim, c: Dim) -> Matrix:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def inj_left(a: Dim, b: Dim) -> Matrix:
-    """Sharp injection A -> Sum(A,B)."""
-    out = np.zeros((a.size + b.size, a.size))
-    out[: a.size, :] = np.eye(a.size)
-    return Matrix(a, Sum(a, b), _Fresh(out))
+    """Sharp injection A -> Sum(A,B): the matrix of ``inl``."""
+    return from_sharp_fn(inl, a, Sum(a, b))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def inj_right(a: Dim, b: Dim) -> Matrix:
-    """Sharp injection B -> Sum(A,B)."""
-    out = np.zeros((a.size + b.size, b.size))
-    out[a.size :, :] = np.eye(b.size)
-    return Matrix(b, Sum(a, b), _Fresh(out))
+    """Sharp injection B -> Sum(A,B): the matrix of ``inr``."""
+    return from_sharp_fn(inr, b, Sum(a, b))
 
 
 def from_sharp_fn(fn: Callable[[Any], Any], col_dim: Dim, row_dim: Dim) -> Matrix:

@@ -20,10 +20,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Range, UNIT
-from .dist import Dist, DomainError, _after, _paired, bind, choice, dirac, marginals, pair, tv_distance
+from .dist import (PROPER_TOL, Dist, DomainError, _after, _paired, bind, choice, dirac, marginals, pair,
+                   tv_distance)
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
-    CS_TOL,
     Matrix,
     TruncationError,
     _Fresh,
@@ -139,7 +139,7 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     if init.col_dim != UNIT or init.row_dim != m_dim:
         raise DomainError(f"init must be a column 1 -> {m_dim}, got {init.col_dim}->{init.row_dim}")
     mass = float(init.data.sum())
-    if abs(mass - 1.0) > CS_TOL:
+    if abs(mass - 1.0) > PROPER_TOL:
         raise DomainError(f"init must be a distribution over {m_dim}, but it sums to {mass!r}")
     bad = [key for key in escapes or () if key not in range(m_dim.size)]
     if bad:
@@ -175,15 +175,16 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     # both parts are this function's own arrays of products of checked
     # entries; madd's check catches any that overflowed
     k = madd(Matrix(cols, m_dim, _Fresh(first)), Matrix(cols, m_dim, _Fresh(steps)))
-    _check_no_mass_created(k.data.sum(axis=0), cols, "input")
-    if not k.is_column_stochastic(CS_TOL):
+    totals = k.data.sum(axis=0)
+    _check_no_mass_created(totals, cols, "input")
+    if not np.all(np.abs(totals - 1.0) <= PROPER_TOL):
         raise TruncationError(f"fixpoint result is not column-stochastic over {m_dim}")
     return k
 
 
 def _check_no_mass_created(sums: np.ndarray, dim: Dim, what: str) -> None:
     """DomainError naming the first column of ``dim`` whose total exceeds one."""
-    created = np.flatnonzero(sums > 1.0 + CS_TOL)
+    created = np.flatnonzero(sums > 1.0 + PROPER_TOL)
     if created.size:
         i = int(created[0])
         raise DomainError(f"loop body creates mass: the column of {what} {dim.elements()[i]!r} "

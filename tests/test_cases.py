@@ -60,6 +60,17 @@ def test_fadd_combined_masses():
     assert d.mass(14) == pytest.approx(1 - p, abs=1e-15)
 
 
+def test_faulty_additions_reject_an_addend_that_is_not_a_real_number():
+    # the rule the summing cases apply to their elements, checked when the step is built
+    constructors = [lambda x: fadd(0.1, x), lambda x: fadd_zero(0.1, x), lambda x: fadd_combined(0.1, 0.2, x)]
+    for make in constructors:
+        for x in ("a", None, True, math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"^addend x={x!r} is not a real number$"):
+                make(x)
+        for x in (2, -3, 2.5):
+            assert make(x)(1).mass(x + 1) == pytest.approx(0.9, abs=1e-15)
+
+
 def test_fadd_combined_collapses_without_reset():
     p = 0.2
     a, b = fadd_combined(p, 0.0, 5)(9), fadd(p, 5)(9)

@@ -258,6 +258,11 @@ def test_monad_operations_match_the_checked_constructor(d, e, table, p):
         _checked(((v % 2, abs(v)), m) for v, m in d.items()))
 
 
+def test_dist_map_undefined_at_a_support_value_names_it():
+    with pytest.raises(DomainError, match="^continuation undefined at support value 2$"):
+        dist_map(Dist({0: 0.5, 2: 0.5}), {0: "a"}.__getitem__)
+
+
 def test_monad_results_still_get_the_total_mass_check():
     # the accumulated drift of msq at p=0.1 crosses PROPER_TOL at n=29
     with pytest.raises(DistributionError, match="total mass"):

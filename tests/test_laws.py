@@ -91,7 +91,7 @@ def test_trial_config_validation():
     with pytest.raises(DomainError):
         TrialConfig(tol=0.0)
     bad = [("trials", True), ("trials", 2.5), ("seed", 1.5), ("seed", True), ("max_dim", 6.5),
-           ("tol", math.inf), ("tol", math.nan)]
+           ("tol", math.inf), ("tol", math.nan), ("tol", True)]
     for field, value in bad:
         with pytest.raises(DomainError, match=f"^{field} "):
             TrialConfig(**{field: value})

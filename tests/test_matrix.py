@@ -20,6 +20,8 @@ from probfold.matrix import (
     fst_matrix,
     hadamard,
     identity,
+    inj_left,
+    inj_right,
     junc,
     khatri,
     kron,
@@ -208,6 +210,16 @@ def test_junc_glues_columns():
     assert np.array_equal(j.data, np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=float))
     with pytest.raises(DimensionError):
         junc(identity(Range(2)), identity(Range(3)))
+
+
+def test_injections_are_the_columns_junc_selects():
+    rng = np.random.default_rng(13)
+    dims = [Range(1), BOOLS, EnumDim(("x", "y", "z")), Sum(UNIT, Range(2)), Product(Range(2), BOOLS)]
+    for _ in range(20):
+        a, b, c = (dims[int(i)] for i in rng.integers(0, len(dims), size=3))
+        m, n = random_cs_matrix(rng, a, c), random_cs_matrix(rng, b, c)
+        assert junc(m, n) @ inj_left(a, b) == m
+        assert junc(m, n) @ inj_right(a, b) == n
 
 
 def test_split_stacks_rows():
