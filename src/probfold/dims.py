@@ -67,6 +67,8 @@ class Range(Dim):
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"Range size must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"Range size must be >= 1, got {self.n}")
 
@@ -78,15 +80,23 @@ class Bools(Dim):
 
 @dataclass(frozen=True)
 class EnumDim(Dim):
-    """An explicit ordered enumeration of distinct hashable labels."""
+    """An explicit ordered enumeration of distinct labels, each a value a
+    ``Dist`` can hold (``dist.support_key`` orders it)."""
 
     values: tuple
 
     def __post_init__(self):
+        from .dist import DomainError, support_key  # dist imports this module
+
         if len(self.values) < 1:
             raise ValueError("EnumDim needs at least one value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("EnumDim values must be distinct")
+        for value in self.values:
+            try:
+                support_key(value)
+            except DomainError:
+                raise DomainError(f"EnumDim label {value!r} is not a support value") from None
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ _fst, _snd = itemgetter(0), itemgetter(1)
 # on a 2-core box, bincount over random columns beat BLAS gemv below 3% fill
 # at M=200, 4% at M=400 and M=1201, and 8% at M=601
 _SPARSE_FILL = 32
+# the fixpoint checks for escaping and leaking mass once per block of this
+# many columns: two vectorised tests cost less than several numpy calls per
+# column, and an error comes at most _BLOCK - 1 columns late
+_BLOCK = 64
 
 
 def _folds(layers: Iterable[Callable], base: Any, join: Callable | None = None) -> Iterator:
@@ -119,13 +123,16 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     j+1 loop iterations. It is computed by that column recurrence, one
     matrix-vector product per column: a scatter-add over the body's nonzeros
     when at most one entry in ``_SPARSE_FILL`` is nonzero, else a dense
-    product. Before a column feeds the next, any positive mass at a state
-    listed in ``escapes`` (from ``from_probfn_truncated``) raises
-    TruncationError naming the escaped value, with no threshold; mass lost
-    through a body column that sums to less than one raises once it exceeds
-    1e-12. An ``init`` that does not sum to one, an ``escapes`` key that is
-    not a state's index, and a body column that sums to more than one (it
-    creates mass) are each a DomainError, raised before any column is computed.
+    product. The columns that feed a next one are checked once per block of
+    ``_BLOCK`` (64) columns, and the first failing column is named: any
+    positive mass at a state listed in ``escapes`` (from
+    ``from_probfn_truncated``) raises TruncationError naming the escaped
+    value, with no threshold; mass lost through a body column that sums to
+    less than one raises once it exceeds 1e-12. Where a column does both, the
+    escape is named. The error comes after at most 63 extra columns. An
+    ``init`` that does not sum to one, an ``escapes`` key that is not a
+    state's index, and a body column that sums to more than one (it creates
+    mass) are each a DomainError, raised before any column is computed.
     Mass created within the tolerance compounds over the loop: a result column
     summing to more than one is a DomainError naming its input, and one that
     lost mass, step by step below 1e-12, a TruncationError.
@@ -157,21 +164,18 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
         weights = body.data[dst, src]
     first[:, 0] = init.data[:, 0]
     col = first[:, 0]
-    for j in range(1, n_max + 1):
-        reached = col[escaping]
-        if np.any(reached > 0.0):
-            value = escapes[int(escaping[np.argmax(reached)])][0][0]
-            raise TruncationError(f"mass would escape {m_dim} at value {value!r}")
-        if deficits @ col > 1e-12:
-            state = int(np.argmax(deficits * col))
-            raise TruncationError(
-                f"loop body loses mass from state {m_dim.elements()[state]!r} outside {m_dim}"
-            )
-        if sparse:
-            col = np.bincount(dst, weights=weights * col[src], minlength=m_dim.size)
-        else:
-            col = body.data @ col
-        steps[:, j] = col
+    if n_max:  # column 0 feeds column 1
+        _check_feeding_columns(first[:, :1], deficits, escaping, escapes, m_dim)
+    for start in range(1, n_max + 1, _BLOCK):
+        stop = min(start + _BLOCK, n_max + 1)
+        for j in range(start, stop):
+            if sparse:
+                col = np.bincount(dst, weights=weights * col[src], minlength=m_dim.size)
+            else:
+                col = body.data @ col
+            steps[:, j] = col
+        # column n_max feeds no column
+        _check_feeding_columns(steps[:, start:min(stop, n_max)], deficits, escaping, escapes, m_dim)
     # both parts are this function's own arrays of products of checked
     # entries; madd's check catches any that overflowed
     k = madd(Matrix(cols, m_dim, _Fresh(first)), Matrix(cols, m_dim, _Fresh(steps)))
@@ -180,6 +184,25 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     if not np.all(np.abs(totals - 1.0) <= PROPER_TOL):
         raise TruncationError(f"fixpoint result is not column-stochastic over {m_dim}")
     return k
+
+
+def _check_feeding_columns(block: np.ndarray, deficits: np.ndarray, escaping: np.ndarray,
+                           escapes: dict | None, m_dim: Dim) -> None:
+    """TruncationError for the first column of ``block`` that puts positive
+    mass on an ``escaping`` state or loses more than 1e-12 through the body's
+    ``deficits``; where a column does both, the escape is named."""
+    escaped = np.any(block[escaping] > 0.0, axis=0)
+    leaked = deficits @ block > 1e-12
+    failed = np.flatnonzero(escaped | leaked)
+    if not failed.size:
+        return
+    i = int(failed[0])
+    col = block[:, i]
+    if escaped[i]:
+        value = escapes[int(escaping[np.argmax(col[escaping])])][0][0]
+        raise TruncationError(f"mass would escape {m_dim} at value {value!r}")
+    state = int(np.argmax(deficits * col))
+    raise TruncationError(f"loop body loses mass from state {m_dim.elements()[state]!r} outside {m_dim}")
 
 
 def _check_no_mass_created(sums: np.ndarray, dim: Dim, what: str) -> None:

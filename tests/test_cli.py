@@ -237,6 +237,14 @@ def test_matrix_outputs_are_pinned(capsys, flags):
     assert digests == _MATRIX_DIGESTS[flags]
 
 
+def test_matrix_fixpoint_over_several_column_blocks_is_pinned(capsys):
+    # 201 columns: the fixpoint's checks run over more than three blocks of them
+    code, out, err = run_cli(capsys, "matrix", "ftwice_fixpoint", "--p", "0.1", "--n", "200", "--m", "401")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d9acaa4985a4fdd086e1137db8afbea6aff18b8f1ddce0c1105902a94efb7b9")
+
+
 # --- laws ----------------------------------------------------------------------
 
 def test_laws_single_law_line(capsys):

@@ -80,6 +80,22 @@ def test_dim_index_errors():
         EnumDim(("a", "a"))
 
 
+@pytest.mark.parametrize("size", [2.5, "3", True])
+def test_range_rejects_a_size_that_is_not_an_int(size):
+    with pytest.raises(ValueError) as err:
+        Range(size)
+    assert str(err.value) == f"Range size must be an int, got {size!r}"
+
+
+@pytest.mark.parametrize("label", [None, ("a", None), frozenset()])
+def test_enum_dim_rejects_a_label_that_is_not_a_support_value(label):
+    # such a dim could not go through a Dist: from_sharp_fn, to_probfn and
+    # inj_left would each fail later, on the label
+    with pytest.raises(DomainError) as err:
+        EnumDim(("a", label))
+    assert str(err.value) == f"EnumDim label {label!r} is not a support value"
+
+
 # --- basic matrix behaviour --------------------------------------------------
 
 def test_matrix_rejects_bad_shapes_and_negatives():

@@ -1,7 +1,9 @@
 """Recursion-scheme tests: loops, folds, the matrix fixpoint, transformations."""
 
+import hashlib
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +265,60 @@ def test_fixpoint_detects_escape_below_any_threshold():
         with pytest.raises(TruncationError) as err:
             matrix_cata_fixpoint(body, init, 200, states, escapes=escapes)
         assert "at value 400" in str(err.value)
+
+
+@pytest.mark.parametrize("m", [126, 128, 130, 132, 256, 258])
+def test_fixpoint_names_the_first_escape_on_either_side_of_a_block_edge(m):
+    # over 0..m-1, state m-2 first carries mass in column (m-2)/2 and its step
+    # reaches m: columns 62 to 128, on both sides of the edges of the blocks of
+    # columns the checks run over; without the escapes it is a leak
+    states, body, init, escapes = _ftwice_pieces(0.1, m - 1)
+    with pytest.raises(TruncationError) as err:
+        matrix_cata_fixpoint(body, init, 300, states, escapes=escapes)
+    assert str(err.value) == f"mass would escape {states} at value {m}"
+    with pytest.raises(TruncationError) as err:
+        matrix_cata_fixpoint(body, init, 300, states)
+    assert str(err.value) == f"loop body loses mass from state {m - 2} outside {states}"
+
+
+def test_fixpoint_checks_the_columns_that_feed_another_and_not_the_last():
+    # over 0..129 state 128 first carries mass in column 64, the last of a block
+    states, body, init, escapes = _ftwice_pieces(0.1, 129)
+    assert matrix_cata_fixpoint(body, init, 64, states, escapes=escapes).is_column_stochastic()
+    with pytest.raises(TruncationError, match="at value 130$"):
+        matrix_cata_fixpoint(body, init, 65, states, escapes=escapes)
+
+
+def test_fixpoint_names_a_leak_that_comes_before_an_escape_in_the_same_block():
+    # 0 -> 1 -> 2 -> 3, but half of state 1's mass is lost (column 1 leaks)
+    # and all of state 3's escapes (column 3)
+    d = Range(4)
+    body = Matrix(d, d, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 1, 0]])
+    init = from_sharp_fn(lambda _u: 0, UNIT, d)
+    with pytest.raises(TruncationError) as err:
+        matrix_cata_fixpoint(body, init, 10, d, escapes={3: [(4, 1.0)]})
+    assert str(err.value) == f"loop body loses mass from state 1 outside {d}"
+
+
+def test_fixpoint_stops_soon_after_an_early_escape_with_a_huge_count():
+    # the escape comes in column 4 of 10**6: it raises in hundredths of a second,
+    # where computing every column takes about 10 s on a 2-core box
+    states, body, init, escapes = _ftwice_pieces(0.1, 8)
+    started = time.perf_counter()
+    with pytest.raises(TruncationError) as err:
+        matrix_cata_fixpoint(body, init, 10**6, states, escapes=escapes)
+    assert str(err.value) == "mass would escape Range(n=9) at value 10"
+    assert time.perf_counter() - started < 2.0
+
+
+def test_dense_fixpoint_over_several_column_blocks_is_pinned():
+    rng = np.random.default_rng(14)
+    states = Range(200)
+    body, init = random_cs_matrix(rng, states, states), random_cs_matrix(rng, UNIT, states)
+    assert np.count_nonzero(body.data) * _SPARSE_FILL > body.data.size  # the BLAS kernel
+    k = matrix_cata_fixpoint(body, init, 200, states)
+    assert hashlib.sha256(k.data.tobytes()).hexdigest() == (
+        "4af6fc152468f94f01fc048ca037ee323bcef621fd721adb77964dd9d5bf0c67")
 
 
 def test_fixpoint_rejects_negative_input_count():
