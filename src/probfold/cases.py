@@ -7,13 +7,15 @@ so the distributions are exact. The registry names are the CLI contract.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable
 
-from .dist import (Dist, DomainError, ProbFn, _Choice, _check_prob, bind, canonical_value, dirac, marginals,
-                   pair)
+from .dist import (Dist, DomainError, ProbFn, _Choice, _check_prob, _identity, _zero, bind, canonical_value,
+                   dirac, marginals, pair)
 from .functors import ForLoopF, ListF
 from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tupled_from_mutual
 
@@ -44,23 +46,18 @@ def fadd_combined(p: float, q: float, x: int) -> ProbFn:
 
 
 def _add(x) -> Callable[[Any], Any]:
-    """The correct branch y -> x + y of a faulty addition, for a real ``x``."""
+    """The correct branch y -> x + y of a faulty addition, for a real ``x``.
+    As ``partial(operator.add, x)`` it runs with no Python frame in ``bind``,
+    and the matrix view reads it as a shift when ``x`` is an int
+    (``dist._affine``)."""
     if not _is_real(x):
         raise DomainError(f"addend x={x!r} is not a real number")
-    return lambda y: x + y
+    return partial(operator.add, x)
 
 
 def _is_real(a) -> bool:
     """An int or float, not a bool, with a finite float value."""
     return not isinstance(a, bool) and isinstance(a, (int, float)) and abs(a) <= sys.float_info.max
-
-
-def _identity(y):
-    return y
-
-
-def _zero(_y):
-    return 0
 
 
 _FOR = ForLoopF()

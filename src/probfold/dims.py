@@ -90,13 +90,13 @@ class EnumDim(Dim):
 
         if len(self.values) < 1:
             raise ValueError("EnumDim needs at least one value")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError("EnumDim values must be distinct")
-        for value in self.values:
+        for value in self.values:  # first, so the distinctness check only hashes support values
             try:
                 support_key(value)
             except DomainError:
                 raise DomainError(f"EnumDim label {value!r} is not a support value") from None
+        if len(set(self.values)) != len(self.values):
+            raise ValueError("EnumDim values must be distinct")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ Dist per support value, and so it does the pairing of any two continuations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from itertools import chain
 from numbers import Real
 from typing import Any, Callable, Iterable, Iterator
@@ -323,6 +325,28 @@ class _Choice(_Step):
     def after(self, g: Callable[[Any], Any]) -> "_Choice":
         """This choice after the sharp function ``g``: still a choice."""
         return _Choice((w, lambda v, f=f: f(g(v))) for w, f in self)
+
+
+def _identity(y):
+    return y
+
+
+def _zero(_y):
+    return 0
+
+
+def _affine(f: Callable[[Any], Any]) -> tuple[int, int] | None:
+    """``(a, c)`` when the branch ``f`` is y -> a*y + c with int a and c, as
+    ``_identity``, ``_zero`` and an int addend's ``partial(operator.add, x)``
+    are; otherwise None. The matrix view reads such branches as index moves."""
+    if f is _identity:
+        return 1, 0
+    if f is _zero:
+        return 0, 0
+    if (type(f) is partial and f.func is operator.add and len(f.args) == 1 and not f.keywords
+            and type(f.args[0]) is int):
+        return 1, f.args[0]
+    return None
 
 
 class _Pair(_Step):

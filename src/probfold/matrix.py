@@ -23,8 +23,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .dims import _MEMO_SIZE, Dim, Product, Sum, UNIT, _index, inl, inr
-from .dist import PROPER_TOL, Dist, DomainError, ProbFn, _as_step, _check_prob, dirac, support_key
+from .dims import _MEMO_SIZE, Dim, Product, Range, Sum, UNIT, _index, inl, inr
+from .dist import (PROPER_TOL, PRUNE_EPS, Dist, DomainError, ProbFn, _affine, _as_step, _check_prob, _Choice, dirac,
+                   support_key)
 
 
 class DimensionError(TypeError):
@@ -300,8 +301,29 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
     (value, mass) pairs. Callers must make sure no mass ever flows through a
     deficient column: matrix_cata_fixpoint raises TruncationError on any
     positive mass reaching such a column, with no threshold.
+
+    A weighted choice of affine branches between ``Range``s -- the faulty
+    additions ``fadd``, ``fadd_zero`` and ``fadd_combined`` with an int addend
+    -- is built from its branches as arrays, not column by column, and the
+    matrix it returns also holds its nonzeros, which matrix_cata_fixpoint
+    reads instead of scanning the dense data. The entries and escapes are
+    the same, bit for bit.
     """
     return _probfn_columns(f, col_dim, row_dim, strict=False)
+
+
+class _Sparse(Matrix):
+    """A matrix that also holds its nonzeros ``(rows, cols, weights)``, in the
+    row-major order ``np.nonzero`` lists them, so the fixpoint reads them
+    without scanning the dense data."""
+
+    __slots__ = ("nonzeros",)
+
+    def __init__(self, col_dim: Dim, row_dim: Dim, data: _Fresh, nonzeros: tuple[np.ndarray, ...]):
+        super().__init__(col_dim, row_dim, data)
+        for arr in nonzeros:
+            arr.setflags(write=False)
+        object.__setattr__(self, "nonzeros", nonzeros)
 
 
 def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
@@ -311,10 +333,17 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
 
     Each column is read from the step's outcomes, with no Dist for a choice or
     a pairing of choices. The values a column loses are put in support order,
-    so the escapes and the value strict mode names are those of f(a)."""
+    so the escapes and the value strict mode names are those of f(a). A
+    choice of affine branches between ``Range``s is built by
+    ``_affine_columns`` instead, with the same result."""
     out = _zeros(col_dim, row_dim)
+    step = _as_step(f)
+    if type(step) is _Choice and type(col_dim) is Range and type(row_dim) is Range:
+        built = _affine_columns(step, col_dim, row_dim, out, strict)
+        if built is not None:
+            return built
     escapes: dict[int, list[tuple[Any, float]]] = {}
-    outcomes, index = _as_step(f).outcomes, _index(row_dim)
+    outcomes, index = step.outcomes, _index(row_dim)
     for j, a in enumerate(col_dim.elements()):
         lost = []
         for v, m in outcomes(a):
@@ -330,6 +359,56 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
             escapes[j] = lost
     # every entry is a checked mass: a Dist's, a choice's weight or a product
     return Matrix(col_dim, row_dim, _Fresh(out)), escapes
+
+
+# numpy's int64 arithmetic wraps silently outside this range, where Python's
+# ints do not: a choice with a branch value outside it takes the column loop
+_INT64 = range(-2**63, 2**63)
+
+
+def _affine_columns(step: _Choice, col_dim: Range, row_dim: Range, out: np.ndarray,
+                    strict: bool) -> tuple[_Sparse, dict[int, list[tuple[int, float]]]] | None:
+    """``_probfn_columns`` for a choice whose branches are all affine
+    (``dist._affine``), with every value in int64: all branch values at once,
+    as arrays. None for any other choice, which takes the column loop.
+
+    Branches that meet merge in branch order and light merged entries drop,
+    the floats ``_Choice.outcomes`` gives; escapes and the value strict mode
+    names come in the loop's order, as Python ints and floats."""
+    affine = [_affine(g) for _, g in step]
+    last = col_dim.n - 1
+    if None in affine or any(v not in _INT64 for a, c in affine for v in (a, c, a * last, a * last + c)):
+        return None
+    inputs = np.arange(col_dim.n, dtype=np.int64)
+    values = [a * inputs + c for a, c in affine]
+    moved, lost = [], []
+    for k, ((w, _), v) in enumerate(zip(step, values)):
+        mass = np.full(col_dim.n, w)
+        for (w_later, _), v_later in zip(step[k + 1:], values[k + 1:]):
+            mass = np.where(v_later == v, mass + w_later, mass)
+        keep = mass >= PRUNE_EPS
+        for v_earlier in values[:k]:  # a value met before is merged there
+            keep &= v != v_earlier
+        cols = np.flatnonzero(keep)
+        rows, mass = v[cols], mass[cols]
+        inside = (rows >= 0) & (rows < row_dim.n)
+        moved.append((rows[inside], cols[inside], mass[inside]))
+        lost.append((cols[~inside], rows[~inside], mass[~inside]))
+    cols, rows, mass = (np.concatenate(parts) for parts in zip(*lost))
+    escapes: dict[int, list[tuple[int, float]]] = {}
+    if cols.size:
+        order = np.lexsort((rows, cols))  # by input, then by value
+        if strict:
+            i = order[0]
+            raise TruncationError(f"support value {int(rows[i])!r} of input {int(cols[i])!r} "
+                                  f"escapes output dim {row_dim}")
+        for j, v, m in zip(cols[order].tolist(), rows[order].tolist(), mass[order].tolist()):
+            escapes.setdefault(j, []).append((v, m))
+    rows, cols, mass = (np.concatenate(parts) for parts in zip(*moved))
+    order = np.lexsort((cols, rows))  # row-major, as np.nonzero lists them
+    nonzeros = rows[order].astype(np.intp, copy=False), cols[order].astype(np.intp, copy=False), mass[order]
+    out[nonzeros[0], nonzeros[1]] = nonzeros[2]
+    return _Sparse(col_dim, row_dim, _Fresh(out), nonzeros), escapes
 
 
 def relabel(m: Matrix, col_dim: Dim | None = None, row_dim: Dim | None = None) -> Matrix:

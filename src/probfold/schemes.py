@@ -27,6 +27,7 @@ from .matrix import (
     Matrix,
     TruncationError,
     _Fresh,
+    _Sparse,
     _zeros,
     fst_matrix,
     khatri,
@@ -123,7 +124,12 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     j+1 loop iterations. It is computed by that column recurrence, one
     matrix-vector product per column: a scatter-add over the body's nonzeros
     when at most one entry in ``_SPARSE_FILL`` is nonzero, else a dense
-    product. The columns that feed a next one are checked once per block of
+    product. A body that ``from_probfn_truncated`` built from a choice of
+    affine branches carries its nonzeros, and the fixpoint takes them and the
+    body's column sums from there; any other body's dense data is scanned for
+    them. Either way the result is the same, bit for bit.
+
+    The columns that feed a next one are checked once per block of
     ``_BLOCK`` (64) columns, and the first failing column is named: any
     positive mass at a state listed in ``escapes`` (from
     ``from_probfn_truncated``) raises TruncationError naming the escaped
@@ -151,17 +157,22 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     bad = [key for key in escapes or () if key not in range(m_dim.size)]
     if bad:
         raise DomainError(f"escapes key {bad[0]!r} is not the index of a state of {m_dim}")
-    sums = body.data.sum(axis=0)
+    if isinstance(body, _Sparse):  # built with its nonzeros: the dense data is not scanned
+        dst, src, weights = body.nonzeros  # entry (dst, src) moves mass from src to dst
+        sums = np.bincount(src, weights=weights, minlength=m_dim.size)
+        sparse = weights.size * _SPARSE_FILL <= body.data.size
+    else:
+        sums = body.data.sum(axis=0)
+        sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
+        if sparse:  # few nonzeros, as a choice of sharp functions has
+            dst, src = np.nonzero(body.data)
+            weights = body.data[dst, src]
     _check_no_mass_created(sums, m_dim, "state")
     cols = Range(n_max + 1)
     first = _zeros(cols, m_dim)
     steps = _zeros(cols, m_dim)
     deficits = 1.0 - sums
     escaping = np.array(sorted(escapes or ()), dtype=np.intp)
-    sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
-    if sparse:  # few nonzeros, as a choice of sharp functions has
-        dst, src = np.nonzero(body.data)  # entry (dst, src) moves mass from src to dst
-        weights = body.data[dst, src]
     first[:, 0] = init.data[:, 0]
     col = first[:, 0]
     if n_max:  # column 0 feeds column 1

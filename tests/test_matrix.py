@@ -11,6 +11,7 @@ from probfold.matrix import (
     DimensionError,
     Matrix,
     TruncationError,
+    _Sparse,
     bang,
     compose,
     converse,
@@ -37,7 +38,7 @@ from probfold.matrix import (
 from probfold.functors import ForLoopF
 from probfold.laws import random_cs_matrix, random_sharp
 from probfold.schemes import unzip
-from probfold.cases import fadd
+from probfold.cases import fadd, fadd_combined, fadd_zero
 
 
 def fneg_matrix():
@@ -93,6 +94,14 @@ def test_enum_dim_rejects_a_label_that_is_not_a_support_value(label):
     # inj_left would each fail later, on the label
     with pytest.raises(DomainError) as err:
         EnumDim(("a", label))
+    assert str(err.value) == f"EnumDim label {label!r} is not a support value"
+
+
+@pytest.mark.parametrize("label", [[1], {1: 2}])
+def test_enum_dim_names_an_unhashable_label(label):
+    # the label check runs before the distinctness check, which would hash it
+    with pytest.raises(DomainError) as err:
+        EnumDim((label, "a"))
     assert str(err.value) == f"EnumDim label {label!r} is not a support value"
 
 
@@ -396,6 +405,43 @@ def test_a_fault_step_gives_the_columns_of_its_dists():
             messages.append(str(err.value))
         assert messages[0] == messages[1] == f"support value {first} of input 5 escapes output dim {rows}"
     assert from_probfn_truncated(fadd(0.1, -2), Range(6), Range(3))[1][5] == [(3, 0.9), (5, 0.1)]
+
+
+_FAULTY_ADDITIONS = {
+    "fadd": fadd,
+    "fadd_zero": fadd_zero,
+    "fadd_combined": lambda p, x: fadd_combined(p, 0.3, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTY_ADDITIONS))
+def test_a_choice_of_affine_branches_gives_the_column_loop_body(name):
+    # the same step behind a plain lambda takes the per-column loop, the
+    # reference; an int addend's choice is built as arrays, with its nonzeros,
+    # while 2.5 (a float branch) and 10**30 (beyond int64) take the loop
+    for x in (0, 2, 3, -1, 2.5, 10**30):
+        for p in (0.0, 1e-16, 0.1, 1.0):
+            step = _FAULTY_ADDITIONS[name](p, x)
+            per_value = lambda v, step=step: step(v)
+            for m in (1, 5, 9, 201):
+                dim = Range(m)
+                body, escapes = from_probfn_truncated(step, dim, dim)
+                ref_body, ref_escapes = from_probfn_truncated(per_value, dim, dim)
+                assert isinstance(body, _Sparse) == (x not in (2.5, 10**30))
+                assert body.data.tobytes() == ref_body.data.tobytes()
+                assert repr(escapes) == repr(ref_escapes)
+                if type(x) is int:  # escapes hold Python numbers, as the loop's do
+                    assert all(type(j) is type(v) is int and type(w) is float
+                               for j, lost in escapes.items() for v, w in lost)
+                messages = []
+                for f in (step, per_value):
+                    try:
+                        messages.append(from_probfn(f, dim, dim).data.tobytes())
+                    except TruncationError as err:
+                        messages.append(str(err))
+                assert messages[0] == messages[1]
+                texts = [repr(escapes)] + [m for m in messages if isinstance(m, str)]
+                assert not any("np." in text for text in texts)
 
 
 def test_entrywise_combinators_name_both_typings_on_a_dim_mismatch():

@@ -10,6 +10,8 @@ import pytest
 
 from probfold.cases import (
     fadd,
+    fadd_combined,
+    fadd_zero,
     fcat_algebra,
     fcount_algebra,
     consolidated_count_algebra,
@@ -23,6 +25,7 @@ from probfold.functors import CompF, ConstF, ForLoopF, IdF, ListF, SumF
 from probfold.matrix import (
     Matrix,
     TruncationError,
+    _Sparse,
     from_probfn,
     from_probfn_truncated,
     from_sharp_fn,
@@ -319,6 +322,33 @@ def test_dense_fixpoint_over_several_column_blocks_is_pinned():
     k = matrix_cata_fixpoint(body, init, 200, states)
     assert hashlib.sha256(k.data.tobytes()).hexdigest() == (
         "4af6fc152468f94f01fc048ca037ee323bcef621fd721adb77964dd9d5bf0c67")
+
+
+@pytest.mark.parametrize("m", [9, 201])
+def test_a_body_built_with_its_nonzeros_gives_the_plain_body_fixpoint(m):
+    # the fixpoint reads a choice body's own nonzeros, where it scans a plain
+    # Matrix copy of the same data: the BLAS product runs over Range(9), the
+    # scatter-add over Range(201), and each outcome is the same to the bit
+    states = Range(m)
+    init = from_probfn(lambda _u: dirac(0), UNIT, states)
+    for step in (fadd(0.1, 2), fadd_zero(0.2, 3), fadd_combined(0.1, 0.3, 2)):
+        body, escapes = from_probfn_truncated(step, states, states)
+        plain = Matrix(states, states, body.data)
+        assert isinstance(body, _Sparse) and type(plain) is Matrix
+        # the nonzeros the plain body's scan finds, in the order it finds them
+        dst, src = np.nonzero(plain.data)
+        for carried, scanned in zip(body.nonzeros, (dst, src, plain.data[dst, src])):
+            assert np.array_equal(carried, scanned)
+        assert (dst.size * _SPARSE_FILL <= plain.data.size) == (m == 201)
+        for n_max in (2, m // 2, 2 * m):
+            for esc in (escapes, None):
+                outcomes = []
+                for b in (body, plain):
+                    try:
+                        outcomes.append(matrix_cata_fixpoint(b, init, n_max, states, escapes=esc).data.tobytes())
+                    except TruncationError as err:
+                        outcomes.append(str(err))
+                assert outcomes[0] == outcomes[1]
 
 
 def test_fixpoint_rejects_negative_input_count():
