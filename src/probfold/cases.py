@@ -11,13 +11,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable
 
-from .dist import (Dist, DomainError, ProbFn, _Choice, _check_prob, _identity, _zero, bind, canonical_value,
-                   dirac, marginals, pair)
+from .dist import (Dist, DomainError, ProbFn, _Choice, _check_prob, _identity, _plus_one, _plus_two, _second, _sum,
+                   _zero, bind, canonical_value, dirac, marginals, pair)
 from .functors import ForLoopF, ListF
-from .schemes import Algebra, banana_split, cata_eval, for_loop, mutual_eval, tupled_from_mutual
+from .schemes import Algebra, _fold_each, banana_split, cata_eval, for_loop, mutual_eval, tupled_from_mutual
 
 
 def fadd(p: float, x: int) -> ProbFn:
@@ -63,22 +62,12 @@ def _is_real(a) -> bool:
 _FOR = ForLoopF()
 _LIST = ListF()
 
-_second = itemgetter(1)
-
 
 def _faulty(r: float, correct: Callable[[Any], Any]) -> _Choice:
     """The step that is ``correct`` with probability 1-r and otherwise returns
     the second component of its input pair: a faulty addition x + y that
     gives y, or a list step that drops its element."""
     return _Choice(((r, _second), (1.0 - r, correct)))
-
-
-def _sum(s):
-    return s[0] + s[1]
-
-
-def _plus_one(av):
-    return av[1] + 1
 
 
 def fib_algebras(p: float) -> tuple[Algebra, Algebra]:
@@ -95,7 +84,7 @@ def sq_algebras(p: float) -> tuple[Algebra, Algebra]:
     the odd-number counter stays sharp."""
     _check_prob(p, "p")
     h = Algebra(_FOR, dirac(0), _faulty(p, _sum))
-    k = Algebra(_FOR, dirac(1), _Choice(((1.0, lambda s: s[1] + 2),)))
+    k = Algebra(_FOR, dirac(1), _Choice(((1.0, _plus_two),)))
     return h, k
 
 
@@ -104,7 +93,7 @@ def sq_prime_algebras(p: float, q: float) -> tuple[Algebra, Algebra]:
     _check_prob(p, "p")
     _check_prob(q, "q")
     h = Algebra(_FOR, dirac(0), _faulty(p, _sum))
-    k = Algebra(_FOR, dirac(1), _faulty(q, lambda s: 2 + s[1]))
+    k = Algebra(_FOR, dirac(1), _faulty(q, _plus_two))
     return h, k
 
 
@@ -218,9 +207,12 @@ def fsum(p: float, xs) -> Dist:
 
 
 def pipeline_count_cat(p: float, q: float, xs) -> Dist:
-    """Lossy copy piped into faulty counting."""
-    alg = fcount_algebra(q)
-    return bind(fcat(p, xs), lambda s: cata_eval(_LIST, alg, s))
+    """Lossy copy piped into faulty counting. Each distinct copy is counted
+    once, and a copy resumes from the count of its longest suffix already
+    counted."""
+    copies = fcat(p, xs)
+    counts = dict(zip(copies.support, _fold_each(fcount_algebra(q), copies.support)))
+    return bind(copies, counts.__getitem__)
 
 
 def pipeline_consolidated(p: float, q: float, xs) -> Dist:

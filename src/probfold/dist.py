@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from itertools import chain
 from numbers import Real
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .dims import Dim
 
@@ -80,6 +80,13 @@ def _sorted_support(values: dict) -> list:
     return sorted(values, key=support_key)
 
 
+def _check_total(masses: Iterable[float]) -> None:
+    """DistributionError unless the (already pruned) masses total 1 within PROPER_TOL."""
+    total = math.fsum(masses)
+    if abs(total - 1.0) > PROPER_TOL:
+        raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
+
+
 class _Masses(dict):
     """Accumulator of the monad's own operations. Its values come from Dist
     supports or through ``canonical_value``, and its masses are sums and
@@ -122,9 +129,7 @@ class Dist:
                 except TypeError:  # only hashing the value can fail here
                     raise DomainError(f"unhashable support value {value!r}") from None
         acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
-        total = math.fsum(acc.values())
-        if abs(total - 1.0) > PROPER_TOL:
-            raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
+        _check_total(acc.values())
         self._mass = {v: acc[v] for v in _sorted_support(acc)}
 
     def mass(self, value: Any) -> float:
@@ -346,6 +351,59 @@ def _affine(f: Callable[[Any], Any]) -> tuple[int, int] | None:
     if (type(f) is partial and f.func is operator.add and len(f.args) == 1 and not f.keywords
             and type(f.args[0]) is int):
         return 1, f.args[0]
+    return None
+
+
+# the branches of the pair-state steps: s is a pair (x, y), or an (element,
+# state) pair of a list fold
+_second = operator.itemgetter(1)
+
+
+def _sum(s):
+    return s[0] + s[1]
+
+
+def _plus_one(s):
+    return s[1] + 1
+
+
+def _plus_two(s):
+    return s[1] + 2
+
+
+def _pair_value(a: int, b: int, c: int, s):
+    """a*s[0] + b*s[1] + c: any pair-state affine branch, as ``partial(_pair_value, a, b, c)``."""
+    return a * s[0] + b * s[1] + c
+
+
+class _PairForm(NamedTuple):
+    """The data of a pair-state branch s -> a*s[0] + b*s[1] + c."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def reads(self) -> tuple[int, ...]:
+        """The components the branch reads: those with a nonzero coefficient."""
+        return tuple(i for i, k in enumerate(self[:2]) if k)
+
+
+_PAIR_FORMS = ((_second, _PairForm(0, 1, 0)), (_sum, _PairForm(1, 1, 0)), (_plus_one, _PairForm(0, 1, 1)),
+               (_plus_two, _PairForm(0, 1, 2)))
+
+
+def _pair_affine(f: Callable[[Any], Any]) -> _PairForm | None:
+    """The form of the pair-state branch ``f`` when it is affine with int
+    coefficients -- a named branch above or a ``partial(_pair_value, a, b,
+    c)`` -- otherwise None. The for-loop kernel reads such branches as index
+    moves."""
+    for g, form in _PAIR_FORMS:
+        if f is g:
+            return form
+    if (type(f) is partial and f.func is _pair_value and len(f.args) == 3 and not f.keywords
+            and all(type(k) is int for k in f.args)):
+        return _PairForm(*f.args)
     return None
 
 

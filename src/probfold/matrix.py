@@ -366,6 +366,25 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
 _INT64 = range(-2**63, 2**63)
 
 
+def _merged_branches(weights: list[float], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_Choice.outcomes`` at many inputs at once, for both views: ``values``
+    (K x N ints) holds each of K branches' value at each of N inputs. Returns
+    the merged weights and the mask of outcomes kept, both K x N. At an input,
+    branches that meet merge into the first of them, their weights added in
+    branch order, and a merged weight below PRUNE_EPS drops: the floats, and
+    in each column the order, that ``outcomes`` gives."""
+    mass = np.empty(values.shape)
+    keep = np.ones(values.shape, dtype=bool)
+    for k, (w, v) in enumerate(zip(weights, values)):
+        mass[k] = w
+        for w_later, v_later in zip(weights[k + 1:], values[k + 1:]):
+            mass[k] = np.where(v_later == v, mass[k] + w_later, mass[k])
+        for v_earlier in values[:k]:  # a value met before is merged there
+            keep[k] &= v != v_earlier
+    keep &= mass >= PRUNE_EPS
+    return mass, keep
+
+
 def _affine_columns(step: _Choice, col_dim: Range, row_dim: Range, out: np.ndarray,
                     strict: bool) -> tuple[_Sparse, dict[int, list[tuple[int, float]]]] | None:
     """``_probfn_columns`` for a choice whose branches are all affine
@@ -380,31 +399,21 @@ def _affine_columns(step: _Choice, col_dim: Range, row_dim: Range, out: np.ndarr
     if None in affine or any(v not in _INT64 for a, c in affine for v in (a, c, a * last, a * last + c)):
         return None
     inputs = np.arange(col_dim.n, dtype=np.int64)
-    values = [a * inputs + c for a, c in affine]
-    moved, lost = [], []
-    for k, ((w, _), v) in enumerate(zip(step, values)):
-        mass = np.full(col_dim.n, w)
-        for (w_later, _), v_later in zip(step[k + 1:], values[k + 1:]):
-            mass = np.where(v_later == v, mass + w_later, mass)
-        keep = mass >= PRUNE_EPS
-        for v_earlier in values[:k]:  # a value met before is merged there
-            keep &= v != v_earlier
-        cols = np.flatnonzero(keep)
-        rows, mass = v[cols], mass[cols]
-        inside = (rows >= 0) & (rows < row_dim.n)
-        moved.append((rows[inside], cols[inside], mass[inside]))
-        lost.append((cols[~inside], rows[~inside], mass[~inside]))
-    cols, rows, mass = (np.concatenate(parts) for parts in zip(*lost))
+    values = np.array([a * inputs + c for a, c in affine])
+    mass, keep = _merged_branches([w for w, _ in step], values)
+    rows, mass = values[keep], mass[keep]
+    cols = np.nonzero(keep)[1]
+    inside = (rows >= 0) & (rows < row_dim.n)
+    lost = np.flatnonzero(~inside)
     escapes: dict[int, list[tuple[int, float]]] = {}
-    if cols.size:
-        order = np.lexsort((rows, cols))  # by input, then by value
+    if lost.size:
+        lost = lost[np.lexsort((rows[lost], cols[lost]))]  # by input, then by value
         if strict:
-            i = order[0]
-            raise TruncationError(f"support value {int(rows[i])!r} of input {int(cols[i])!r} "
+            raise TruncationError(f"support value {int(rows[lost[0]])!r} of input {int(cols[lost[0]])!r} "
                                   f"escapes output dim {row_dim}")
-        for j, v, m in zip(cols[order].tolist(), rows[order].tolist(), mass[order].tolist()):
+        for j, v, m in zip(cols[lost].tolist(), rows[lost].tolist(), mass[lost].tolist()):
             escapes.setdefault(j, []).append((v, m))
-    rows, cols, mass = (np.concatenate(parts) for parts in zip(*moved))
+    rows, cols, mass = rows[inside], cols[inside], mass[inside]
     order = np.lexsort((cols, rows))  # row-major, as np.nonzero lists them
     nonzeros = rows[order].astype(np.intp, copy=False), cols[order].astype(np.intp, copy=False), mass[order]
     out[nonzeros[0], nonzeros[1]] = nonzeros[2]

@@ -9,6 +9,7 @@ side conditions or need none.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -20,14 +21,16 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Range, UNIT
-from .dist import (PROPER_TOL, Dist, DomainError, _after, _paired, bind, choice, dirac, marginals, pair,
-                   tv_distance)
+from .dist import (PROPER_TOL, PRUNE_EPS, Dist, DomainError, _after, _as_step, _check_total, _Choice, _Masses,
+                   _Pair, _pair_affine, _paired, bind, choice, dirac, marginals, pair, tv_distance)
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
     Matrix,
     TruncationError,
+    _INT64,
     _Fresh,
     _Sparse,
+    _merged_branches,
     _zeros,
     fst_matrix,
     khatri,
@@ -65,7 +68,13 @@ def _last(folds: Iterator) -> Any:
 
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
-    ``value``, innermost first, starting from ``base``."""
+    ``value``, innermost first, starting from ``base``. A for-loop whose step
+    pairs two choices of affine branches over int pairs runs on arrays
+    (``_tupled_affine``), with the same result."""
+    if isinstance(functor, ForLoopF):
+        folded = _tupled_affine(step, base, functor._count(value))
+        if folded is not None:
+            return folded
     return _last(_folds(functor.layers(step, value), base))
 
 
@@ -109,7 +118,11 @@ class Algebra:
 
 
 def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
-    """Evaluate the catamorphism of ``alg`` on one initial-algebra value."""
+    """Evaluate the catamorphism of ``alg`` on one initial-algebra value.
+
+    A for-loop over int pairs whose step pairs two choices of affine branches
+    (a tupled square program) runs on arrays once its state has
+    ``_ARRAY_STATE`` entries; the result is the same, bit for bit."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
     return _fold(functor, alg.step, alg.base, value)
@@ -252,9 +265,18 @@ def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebr
 
 def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tuple[Dist, Dist]:
     """Evaluate a mutually recursive pair of functions, each step drawing the
-    recursive occurrences independently (the pre-tupling semantics)."""
+    recursive occurrences independently (the pre-tupling semantics).
+
+    Two for-loops over ints whose steps are choices of affine branches (the
+    square programs) run on arrays once the joint of their results has
+    ``_ARRAY_JOINT`` entries: one outer product and one scatter-add per step
+    and layer, with the same results and total-mass errors, bit for bit."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
+    if isinstance(functor, ForLoopF):
+        folded = _mutual_affine(h, k, functor._count(value))
+        if folded is not None:
+            return folded
     return _last(_mutual_folds(functor, h, k, value))
 
 
@@ -271,6 +293,182 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
     occurrences independently, from the pair of the previous results."""
     joint = pair(*fg)
     return bind(joint, layer[0]), bind(joint, layer[1])
+
+
+# A for-loop over choices of affine branches runs on Dists until a mutual
+# layer's joint has _ARRAY_JOINT entries or a tupled layer's state has
+# _ARRAY_STATE, and on arrays from there: an array layer costs about 0.1 ms
+# of numpy calls whatever its size, a dict layer about 1.5 us per joint entry
+# or 4 us per tupled state. On a 2-core box the two broke even at about 110
+# joint entries (msq') and 25 states (msql, msql').
+_ARRAY_JOINT = 128
+_ARRAY_STATE = 32
+# an array layer sums the masses per value over the span of the values when
+# it has at most this many slots per move: one bincount over the offsets,
+# about 40 times faster than sorting 20,000 moves to number their values
+_DENSE_SPAN = 8
+
+
+def _affine_choice(step: Callable[[Any], Dist]) -> tuple[list[float], list] | None:
+    """The weights and forms of a choice whose branches are all affine over
+    pair states (``dist._pair_affine``); None for any other step."""
+    step = _as_step(step)
+    if type(step) is not _Choice:
+        return None
+    forms = [_pair_affine(f) for _, f in step]
+    return None if None in forms else ([w for w, _ in step], forms)
+
+
+def _stays_int64(columns: tuple[tuple, tuple], choices: tuple, n: int) -> bool:
+    """Whether ``columns``, the values of the two components of the pair
+    states, are ints, never bools, and every value of ``n`` layers of the two
+    choices from them -- each step's results and the partial sums on the way
+    to them -- stays in int64."""
+    if not all(type(x) is int for col in columns for x in col):
+        return False
+    bounds = [max(map(abs, col)) for col in columns]
+    for _ in range(n):
+        if not all(x in _INT64 for x in bounds):
+            return False
+        grown = [max(abs(a) * bounds[0] + abs(b) * bounds[1] + abs(c) for a, b, c in forms) for _, forms in choices]
+        if grown == bounds:
+            break
+        bounds = grown
+    return all(x in _INT64 for x in bounds)
+
+
+def _arrays(d: Dist) -> tuple[np.ndarray, np.ndarray]:
+    """``d`` as arrays: its support values (one row per component, int64) and masses, in support order."""
+    keys = np.array(d.support, dtype=np.int64).reshape(len(d), -1).T
+    return keys, np.fromiter(d._mass.values(), float, len(d))
+
+
+def _dist(arrays: tuple[np.ndarray, np.ndarray]) -> Dist:
+    """The Dist of ``_arrays`` form, over Python ints or pairs of them."""
+    keys, masses = arrays
+    values = keys[0].tolist() if len(keys) == 1 else zip(*keys.tolist())
+    return Dist(_Masses(zip(values, masses.tolist())))
+
+
+def _branch_outcomes(choice: tuple, s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A choice's outcomes at the pair states (s0, s1): the branch values,
+    merged weights and kept mask, each K x N (``matrix._merged_branches``)."""
+    weights, forms = choice
+    values = np.array([a * s0 + b * s1 + c for a, b, c in forms])
+    return (values, *_merged_branches(weights, values))
+
+
+def _gathered(keys: np.ndarray, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masses ``moved`` to the support values ``keys`` (one column per
+    move) as ``bind`` gathers them: summed per value by one scatter-add, in
+    the order of the moves, then light sums dropped and the total checked.
+    The values come out in support order. A value no move reaches sums to
+    0.0 and drops with the light ones, so when the values span few slots per
+    move the slots are their offsets in that span; otherwise the moves are
+    sorted to number the values."""
+    lo = keys.min(axis=1)
+    spans = [hi - low + 1 for hi, low in zip(keys.max(axis=1).tolist(), lo.tolist())]
+    if math.prod(spans) <= _DENSE_SPAN * moved.size:
+        slots = np.ravel_multi_index(tuple(keys - lo[:, None]), spans)
+        masses = np.bincount(slots, weights=moved)
+        kept = np.flatnonzero(masses >= PRUNE_EPS)
+        values = np.array(np.unravel_index(kept, spans)) + lo[:, None]
+    else:
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        slots = np.empty(order.size, dtype=np.intp)
+        slots[order] = np.cumsum(first) - 1
+        masses = np.bincount(slots, weights=moved)
+        kept = np.flatnonzero(masses >= PRUNE_EPS)
+        values = ordered[:, first][:, kept]
+    _check_total(masses[kept].tolist())
+    return values, masses[kept]
+
+
+def _mutual_arrays(f: tuple, g: tuple, h: tuple, k: tuple) -> tuple[tuple, tuple]:
+    """``_mutual_layer`` on arrays: the joint of f and g as ``pair`` forms it
+    (products mb*mc, light ones dropped, its total checked), then each choice
+    bound to it. A state's outcomes are listed input by input, so the
+    scatter-add sums each value's masses in the order ``bind`` does."""
+    (fv, fm), (gv, gm) = f, g
+    joint = np.outer(fm, gm).ravel()
+    kept = joint >= PRUNE_EPS
+    s0, s1, joint = np.repeat(fv[0], gv[0].size)[kept], np.tile(gv[0], fv[0].size)[kept], joint[kept]
+    _check_total(joint.tolist())
+    return _bind_arrays(s0, s1, joint, h), _bind_arrays(s0, s1, joint, k)
+
+
+def _bind_arrays(s0: np.ndarray, s1: np.ndarray, m: np.ndarray, choice: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``bind`` of the pair states (s0, s1) with masses m and a choice, on
+    arrays: each state's outcomes in the order ``outcomes`` lists them, mass
+    m*w."""
+    values, weights, keep = _branch_outcomes(choice, s0, s1)
+    keep = keep.T
+    return _gathered(values.T[keep][None], (m[:, None] * weights.T)[keep])
+
+
+def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``bind`` of a state of int pairs with the pairing of two choices, on
+    arrays: at each state, each left outcome with each right one, weight
+    mb*mc, light ones dropped, as ``_Pair.outcomes`` lists them; mass m*(mb*mc)."""
+    (s0, s1), m = state
+    lv, lw, lk = (x.T[:, :, None] for x in _branch_outcomes(left, s0, s1))
+    rv, rw, rk = (x.T[:, None, :] for x in _branch_outcomes(right, s0, s1))
+    weights = lw * rw
+    keep = lk & rk & (weights >= PRUNE_EPS)
+    keys = np.array([np.broadcast_to(lv, keep.shape)[keep], np.broadcast_to(rv, keep.shape)[keep]])
+    return _gathered(keys, (m[:, None, None] * weights)[keep])
+
+
+def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
+    """``mutual_eval`` of two for-loop algebras whose steps are choices of
+    affine branches; None for any other pair. Layers run on Dists until the
+    joint has ``_ARRAY_JOINT`` entries, then on arrays if the states hold
+    ints and every value of the remaining layers stays in int64, else on
+    Dists to the end."""
+    choices = _affine_choice(h.step), _affine_choice(k.step)
+    if None in choices:
+        return None
+    fg, arrays = (h.base, k.base), True
+    for done in range(n):
+        if arrays and len(fg[0]) * len(fg[1]) >= _ARRAY_JOINT:
+            if _stays_int64((fg[0].support, fg[1].support), choices, n - done):
+                f, g = _arrays(fg[0]), _arrays(fg[1])
+                for _ in range(done, n):
+                    f, g = _mutual_arrays(f, g, *choices)
+                return _dist(f), _dist(g)
+            arrays = False
+        fg = _mutual_layer(fg, (h.step, k.step))
+    return fg
+
+
+def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | None:
+    """The for-loop of ``step`` from ``base`` when the step pairs two choices
+    of affine branches; None for any other step. Layers run on Dists until
+    the state has ``_ARRAY_STATE`` entries, then on arrays if it holds int
+    pairs and every value of the remaining layers stays in int64, else on
+    Dists to the end."""
+    step = _as_step(step)
+    if type(step) is not _Pair:
+        return None
+    choices = _affine_choice(step[0]), _affine_choice(step[1])
+    if None in choices:
+        return None
+    d, arrays = base, True
+    for done in range(n):
+        if arrays and len(d) >= _ARRAY_STATE:
+            pairs = d.support
+            if (all(type(v) is tuple and len(v) == 2 for v in pairs)
+                    and _stays_int64(tuple(zip(*pairs)), choices, n - done)):
+                state = _arrays(d)
+                for _ in range(done, n):
+                    state = _tupled_arrays(state, *choices)
+                return _dist(state)
+            arrays = False
+        d = bind(d, step)
+    return d
 
 
 @dataclass(frozen=True)

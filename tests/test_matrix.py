@@ -1,12 +1,16 @@
 """Typed-matrix tests: dims, combinators, predicates, conversions, CSV."""
 
 import math
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from probfold.dims import _MEMO_SIZE, BOOLS, EnumDim, Product, Range, Sum, UNIT, _elements, _index, inl, inr
-from probfold.dist import Dist, DomainError, _paired, dirac
+from probfold.dist import Dist, DomainError, _Choice, _identity, _paired, _zero, dirac
 from probfold.matrix import (
     DimensionError,
     Matrix,
@@ -442,6 +446,42 @@ def test_a_choice_of_affine_branches_gives_the_column_loop_body(name):
                 assert messages[0] == messages[1]
                 texts = [repr(escapes)] + [m for m in messages if isinstance(m, str)]
                 assert not any("np." in text for text in texts)
+
+
+# y -> a*y + c with a in {0, 1}: a shift by any int c (c=0 also as the
+# identity), or the constant 0
+_AFFINE_BRANCHES = st.one_of(st.sampled_from([_identity, _zero]),
+                             st.builds(partial, st.just(operator.add), st.integers(-6, 6)))
+
+
+@st.composite
+def _affine_choices(draw):
+    branches = draw(st.lists(_AFFINE_BRANCHES, min_size=1, max_size=4))
+    weights = [draw(st.sampled_from([0.0, 1e-16, 0.1, 0.3, 0.5, 1 - 1e-16, 1.0])) for _ in branches[1:]]
+    assume(math.fsum(weights) <= 1.0)
+    return _Choice(zip([1.0 - math.fsum(weights)] + weights, branches))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(step=_affine_choices(), m=st.integers(1, 40))
+def test_generated_affine_choices_give_the_column_loop_body(step, m):
+    # the merge of branches that meet is shared with the for-loop kernel: any
+    # choice of affine branches, built as arrays, gives the column loop's
+    # body, escapes and strict-mode text
+    per_value = lambda v: step(v)
+    dim = Range(m)
+    body, escapes = from_probfn_truncated(step, dim, dim)
+    ref_body, ref_escapes = from_probfn_truncated(per_value, dim, dim)
+    assert isinstance(body, _Sparse) and not isinstance(ref_body, _Sparse)
+    assert body.data.tobytes() == ref_body.data.tobytes()
+    assert repr(escapes) == repr(ref_escapes)
+    texts = []
+    for f in (step, per_value):
+        try:
+            texts.append(from_probfn(f, dim, dim).data.tobytes())
+        except TruncationError as err:
+            texts.append(str(err))
+    assert texts[0] == texts[1]
 
 
 def test_entrywise_combinators_name_both_typings_on_a_dim_mismatch():
