@@ -40,15 +40,17 @@ class Dim:
         return _elements(self)
 
     def index_of(self, value: Any) -> int:
-        idx = _index(self).get(value)
-        if idx is None:
+        index, elements = _index(self)
+        idx = index.get(value)
+        if idx is None or not _alike(value, elements[idx]):
             raise KeyError(f"{value!r} is not an element of {self}")
         return idx
 
     def __contains__(self, value: Any) -> bool:
+        index, elements = _index(self)
         try:
-            return value in _index(self)
-        except TypeError:
+            return _alike(value, elements[index[value]])
+        except (KeyError, TypeError):
             return False
 
     def __iter__(self) -> Iterator[Any]:
@@ -153,5 +155,15 @@ def _elements(dim: Dim) -> tuple:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _index(dim: Dim) -> dict:
-    return {value: i for i, value in enumerate(_elements(dim))}
+def _index(dim: Dim) -> tuple[dict, tuple]:
+    """The value -> index map of ``dim``'s elements, and the elements, which tell a bool from the number it equals."""
+    return {value: i for i, value in enumerate(_elements(dim))}, _elements(dim)
+
+
+def _alike(a: Any, b: Any) -> bool:
+    """Whether the equal values ``a`` and ``b`` are alike: True equals 1, and
+    (True, 0) equals (1, 0), but a bool never stands for a number in a Dim or
+    a Dist."""
+    if type(a) is type(b):
+        return type(a) is not tuple or all(map(_alike, a, b))
+    return type(a) is not bool and type(b) is not bool

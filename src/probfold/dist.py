@@ -19,9 +19,9 @@ from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from itertools import chain
 from numbers import Real
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator
 
-from .dims import Dim
+from .dims import Dim, _alike
 
 PRUNE_EPS = 1e-15  # support entries lighter than this are dropped
 PROPER_TOL = 1e-9  # total mass must match 1 within this
@@ -101,9 +101,10 @@ class Dist:
     """Immutable finite-support probability distribution.
 
     The constructor accepts a mapping or an iterable of (value, mass) pairs;
-    duplicate values accumulate. Each entry is canonicalised and checked for
-    an unhashable value and for NaN or negative mass, except when the monad's
-    own operations pass their already-checked accumulator. Sub-distributions
+    duplicate values accumulate, but a bool and the number it equals are a
+    DomainError. Each entry is canonicalised and checked for an unhashable
+    value and for NaN or negative mass, except when the monad's own
+    operations pass their already-checked accumulator. Sub-distributions
     are always rejected -- the total mass must be 1 within ``PROPER_TOL`` --
     and there is deliberately no silent renormalization (see ``normalize`` for
     test scaffolding).
@@ -115,7 +116,7 @@ class Dist:
         if type(support) is _Masses:
             acc = support
         else:
-            acc = {}
+            acc, merged = {}, []
             pairs = support.items() if isinstance(support, dict) else support
             for value, mass in pairs:
                 value = canonical_value(value)
@@ -125,9 +126,17 @@ class Dist:
                 if m < 0.0:
                     raise DistributionError(f"negative mass {m!r} at {value!r}")
                 try:
-                    acc[value] = acc.get(value, 0.0) + m
+                    old = acc.get(value)
                 except TypeError:  # only hashing the value can fail here
                     raise DomainError(f"unhashable support value {value!r}") from None
+                acc[value] = m if old is None else old + m
+                if old is not None:  # the first of the equal values keys their sum
+                    merged.append(value)
+            if merged:
+                keys = dict(zip(acc, acc))
+                for v in merged:
+                    if not _alike(keys[v], v):
+                        raise DomainError(f"support values {keys[v]!r} and {v!r} are equal, but a bool is not a number")
         acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
         _check_total(acc.values())
         self._mass = {v: acc[v] for v in _sorted_support(acc)}
@@ -340,20 +349,6 @@ def _zero(_y):
     return 0
 
 
-def _affine(f: Callable[[Any], Any]) -> tuple[int, int] | None:
-    """``(a, c)`` when the branch ``f`` is y -> a*y + c with int a and c, as
-    ``_identity``, ``_zero`` and an int addend's ``partial(operator.add, x)``
-    are; otherwise None. The matrix view reads such branches as index moves."""
-    if f is _identity:
-        return 1, 0
-    if f is _zero:
-        return 0, 0
-    if (type(f) is partial and f.func is operator.add and len(f.args) == 1 and not f.keywords
-            and type(f.args[0]) is int):
-        return 1, f.args[0]
-    return None
-
-
 # the branches of the pair-state steps: s is a pair (x, y), or an (element,
 # state) pair of a list fold
 _second = operator.itemgetter(1)
@@ -376,35 +371,51 @@ def _pair_value(a: int, b: int, c: int, s):
     return a * s[0] + b * s[1] + c
 
 
-class _PairForm(NamedTuple):
-    """The data of a pair-state branch s -> a*s[0] + b*s[1] + c."""
+# numpy's int64 arithmetic wraps silently outside this range, where Python's
+# ints do not: a form's coefficients lie in it, its values by matrix._value_bound
+_INT64 = range(-2**63, 2**63)
 
-    a: int
-    b: int
-    c: int
+
+class _Form(tuple):
+    """An affine branch's data: ``(a, c)`` for y -> a*y + c, ``(a, b, c)`` for s -> a*s[0] + b*s[1] + c."""
+
+    __slots__ = ()
 
     @property
     def reads(self) -> tuple[int, ...]:
-        """The components the branch reads: those with a nonzero coefficient."""
-        return tuple(i for i, k in enumerate(self[:2]) if k)
+        """The state components the branch reads: those with a nonzero coefficient."""
+        return tuple(i for i, k in enumerate(self[:-1]) if k)
 
 
-_PAIR_FORMS = ((_second, _PairForm(0, 1, 0)), (_sum, _PairForm(1, 1, 0)), (_plus_one, _PairForm(0, 1, 1)),
-               (_plus_two, _PairForm(0, 1, 2)))
+_FORMS = ((_identity, _Form((1, 0))), (_zero, _Form((0, 0))), (_second, _Form((0, 1, 0))),
+          (_sum, _Form((1, 1, 0))), (_plus_one, _Form((0, 1, 1))), (_plus_two, _Form((0, 1, 2))))
 
 
-def _pair_affine(f: Callable[[Any], Any]) -> _PairForm | None:
-    """The form of the pair-state branch ``f`` when it is affine with int
-    coefficients -- a named branch above or a ``partial(_pair_value, a, b,
-    c)`` -- otherwise None. The for-loop kernel reads such branches as index
-    moves."""
-    for g, form in _PAIR_FORMS:
+def _affine(f: Callable[[Any], Any]) -> _Form | None:
+    """The form of the branch ``f`` when it is affine with int64 coefficients
+    -- a named branch above, an int addend's ``partial(operator.add, x)`` or a
+    ``partial(_pair_value, a, b, c)`` -- otherwise None."""
+    for g, form in _FORMS:
         if f is g:
             return form
-    if (type(f) is partial and f.func is _pair_value and len(f.args) == 3 and not f.keywords
-            and all(type(k) is int for k in f.args)):
-        return _PairForm(*f.args)
+    if type(f) is partial and not f.keywords and all(type(k) is int and k in _INT64 for k in f.args):
+        if f.func is operator.add and len(f.args) == 1:
+            return _Form((1, *f.args))
+        if f.func is _pair_value and len(f.args) == 3:
+            return _Form(f.args)
     return None
+
+
+def _affine_choice(step: Callable[[Any], Dist], arity: int) -> tuple[list[float], list[_Form]] | None:
+    """The weights and forms of ``step`` when it is a choice of affine branches
+    over states of ``arity`` int components; None for any other step. Both
+    views read a choice through it as index moves: the matrix view with arity
+    1, the for-loop kernel with arity 2."""
+    step = _as_step(step)
+    forms = [_affine(f) for _, f in step] if type(step) is _Choice else [None]
+    if any(form is None or len(form) != arity + 1 for form in forms):
+        return None
+    return [w for w, _ in step], forms
 
 
 class _Pair(_Step):

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import sys
 from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .dims import _MEMO_SIZE, Dim, Product, Range, Sum, UNIT, _index, inl, inr
-from .dist import (PROPER_TOL, PRUNE_EPS, Dist, DomainError, ProbFn, _affine, _as_step, _check_prob, _Choice, dirac,
-                   support_key)
+from .dims import _MEMO_SIZE, Dim, Product, Range, Sum, UNIT, _alike, _index, inl, inr
+from .dist import (_INT64, PROPER_TOL, PRUNE_EPS, Dist, DomainError, ProbFn, _affine_choice, _as_step, _check_prob,
+                   _Form, dirac, support_key)
 
 
 class DimensionError(TypeError):
@@ -338,17 +339,16 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
     ``_affine_columns`` instead, with the same result."""
     out = _zeros(col_dim, row_dim)
     step = _as_step(f)
-    if type(step) is _Choice and type(col_dim) is Range and type(row_dim) is Range:
-        built = _affine_columns(step, col_dim, row_dim, out, strict)
-        if built is not None:
-            return built
+    choice = _affine_choice(step, 1) if type(col_dim) is Range and type(row_dim) is Range else None
+    if choice is not None and _value_bound(choice[1], [col_dim.n - 1]) in _INT64:
+        return _affine_columns(choice, col_dim, row_dim, out, strict)
     escapes: dict[int, list[tuple[Any, float]]] = {}
-    outcomes, index = step.outcomes, _index(row_dim)
+    outcomes, (index, elements) = step.outcomes, _index(row_dim)
     for j, a in enumerate(col_dim.elements()):
         lost = []
         for v, m in outcomes(a):
             i = index.get(v)
-            if i is None:
+            if i is None or not _alike(v, elements[i]):  # as Dim.index_of
                 lost.append((v, m))
             else:
                 out[i, j] = m
@@ -361,18 +361,22 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
     return Matrix(col_dim, row_dim, _Fresh(out)), escapes
 
 
-# numpy's int64 arithmetic wraps silently outside this range, where Python's
-# ints do not: a choice with a branch value outside it takes the column loop
-_INT64 = range(-2**63, 2**63)
+def _value_bound(forms: list[_Form], bounds: list[int]) -> int:
+    """The one int64 rule of both views (``dist._INT64``): sum |k|*bound + |c|, a bound on each value, product
+    and partial sum numpy meets computing ``forms`` at states within ``bounds`` in magnitude."""
+    return max(sum(map(operator.mul, map(abs, form), [*bounds, 1])) for form in forms)
 
 
-def _merged_branches(weights: list[float], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_Choice.outcomes`` at many inputs at once, for both views: ``values``
-    (K x N ints) holds each of K branches' value at each of N inputs. Returns
-    the merged weights and the mask of outcomes kept, both K x N. At an input,
-    branches that meet merge into the first of them, their weights added in
-    branch order, and a merged weight below PRUNE_EPS drops: the floats, and
-    in each column the order, that ``outcomes`` gives."""
+def _branch_outcomes(choice: tuple[list[float], list[_Form]],
+                     states: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_Choice.outcomes`` of a ``dist._affine_choice`` at N states (an int64
+    array per component, values kept in int64 by ``_value_bound``) at once, for
+    both views: at each state, each of the K branches' value, merged weight
+    and kept mask, all N x K. Branches that meet merge into the first, their
+    weights added in branch order, and a merged weight below PRUNE_EPS drops:
+    the floats, and at each state the order, that ``outcomes`` gives."""
+    weights, forms = choice
+    values = np.array([sum(map(operator.mul, form, states), form[-1]) for form in forms])
     mass = np.empty(values.shape)
     keep = np.ones(values.shape, dtype=bool)
     for k, (w, v) in enumerate(zip(weights, values)):
@@ -382,27 +386,18 @@ def _merged_branches(weights: list[float], values: np.ndarray) -> tuple[np.ndarr
         for v_earlier in values[:k]:  # a value met before is merged there
             keep[k] &= v != v_earlier
     keep &= mass >= PRUNE_EPS
-    return mass, keep
+    return values.T, mass.T, keep.T
 
 
-def _affine_columns(step: _Choice, col_dim: Range, row_dim: Range, out: np.ndarray,
-                    strict: bool) -> tuple[_Sparse, dict[int, list[tuple[int, float]]]] | None:
-    """``_probfn_columns`` for a choice whose branches are all affine
-    (``dist._affine``), with every value in int64: all branch values at once,
-    as arrays. None for any other choice, which takes the column loop.
-
-    Branches that meet merge in branch order and light merged entries drop,
-    the floats ``_Choice.outcomes`` gives; escapes and the value strict mode
-    names come in the loop's order, as Python ints and floats."""
-    affine = [_affine(g) for _, g in step]
-    last = col_dim.n - 1
-    if None in affine or any(v not in _INT64 for a, c in affine for v in (a, c, a * last, a * last + c)):
-        return None
-    inputs = np.arange(col_dim.n, dtype=np.int64)
-    values = np.array([a * inputs + c for a, c in affine])
-    mass, keep = _merged_branches([w for w, _ in step], values)
-    rows, mass = values[keep], mass[keep]
-    cols = np.nonzero(keep)[1]
+def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row_dim: Range, out: np.ndarray,
+                    strict: bool) -> tuple[_Sparse, dict[int, list[tuple[int, float]]]]:
+    """``_probfn_columns`` for a choice of affine branches over ints
+    (``dist._affine_choice``) whose values stay in int64: all branch values
+    at once, as arrays. Escapes and the value strict mode names come in the
+    loop's order, as Python ints and floats."""
+    rows, mass, keep = _branch_outcomes(choice, (np.arange(col_dim.n, dtype=np.int64),))
+    rows, mass = rows[keep], mass[keep]
+    cols = np.nonzero(keep)[0]
     inside = (rows >= 0) & (rows < row_dim.n)
     lost = np.flatnonzero(~inside)
     escapes: dict[int, list[tuple[int, float]]] = {}

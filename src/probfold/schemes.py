@@ -21,16 +21,16 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Range, UNIT
-from .dist import (PROPER_TOL, PRUNE_EPS, Dist, DomainError, _after, _as_step, _check_total, _Choice, _Masses,
-                   _Pair, _pair_affine, _paired, bind, choice, dirac, marginals, pair, tv_distance)
+from .dist import (_INT64, PROPER_TOL, PRUNE_EPS, Dist, DomainError, _affine_choice, _after, _as_step, _check_total,
+                   _Masses, _Pair, _paired, bind, choice, dirac, marginals, pair, tv_distance)
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
     Matrix,
     TruncationError,
-    _INT64,
     _Fresh,
     _Sparse,
-    _merged_branches,
+    _branch_outcomes,
+    _value_bound,
     _zeros,
     fst_matrix,
     khatri,
@@ -167,7 +167,7 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     mass = float(init.data.sum())
     if abs(mass - 1.0) > PROPER_TOL:
         raise DomainError(f"init must be a distribution over {m_dim}, but it sums to {mass!r}")
-    bad = [key for key in escapes or () if key not in range(m_dim.size)]
+    bad = [key for key in escapes or () if type(key) is not int or key not in range(m_dim.size)]
     if bad:
         raise DomainError(f"escapes key {bad[0]!r} is not the index of a state of {m_dim}")
     if isinstance(body, _Sparse):  # built with its nonzeros: the dense data is not scanned
@@ -309,29 +309,16 @@ _ARRAY_STATE = 32
 _DENSE_SPAN = 8
 
 
-def _affine_choice(step: Callable[[Any], Dist]) -> tuple[list[float], list] | None:
-    """The weights and forms of a choice whose branches are all affine over
-    pair states (``dist._pair_affine``); None for any other step."""
-    step = _as_step(step)
-    if type(step) is not _Choice:
-        return None
-    forms = [_pair_affine(f) for _, f in step]
-    return None if None in forms else ([w for w, _ in step], forms)
-
-
 def _stays_int64(columns: tuple[tuple, tuple], choices: tuple, n: int) -> bool:
     """Whether ``columns``, the values of the two components of the pair
-    states, are ints, never bools, and every value of ``n`` layers of the two
-    choices from them -- each step's results and the partial sums on the way
-    to them -- stays in int64."""
+    states, are ints, never bools, and ``n`` layers of the two choices from
+    them stay in int64: ``matrix._value_bound``, layer by layer."""
     if not all(type(x) is int for col in columns for x in col):
         return False
     bounds = [max(map(abs, col)) for col in columns]
     for _ in range(n):
-        if not all(x in _INT64 for x in bounds):
-            return False
-        grown = [max(abs(a) * bounds[0] + abs(b) * bounds[1] + abs(c) for a, b, c in forms) for _, forms in choices]
-        if grown == bounds:
+        grown = [_value_bound(forms, bounds) for _, forms in choices]
+        if grown == bounds or not all(x in _INT64 for x in bounds):
             break
         bounds = grown
     return all(x in _INT64 for x in bounds)
@@ -348,14 +335,6 @@ def _dist(arrays: tuple[np.ndarray, np.ndarray]) -> Dist:
     keys, masses = arrays
     values = keys[0].tolist() if len(keys) == 1 else zip(*keys.tolist())
     return Dist(_Masses(zip(values, masses.tolist())))
-
-
-def _branch_outcomes(choice: tuple, s0: np.ndarray, s1: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A choice's outcomes at the pair states (s0, s1): the branch values,
-    merged weights and kept mask, each K x N (``matrix._merged_branches``)."""
-    weights, forms = choice
-    values = np.array([a * s0 + b * s1 + c for a, b, c in forms])
-    return (values, *_merged_branches(weights, values))
 
 
 def _gathered(keys: np.ndarray, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,18 +374,13 @@ def _mutual_arrays(f: tuple, g: tuple, h: tuple, k: tuple) -> tuple[tuple, tuple
     (fv, fm), (gv, gm) = f, g
     joint = np.outer(fm, gm).ravel()
     kept = joint >= PRUNE_EPS
-    s0, s1, joint = np.repeat(fv[0], gv[0].size)[kept], np.tile(gv[0], fv[0].size)[kept], joint[kept]
+    states, joint = (np.repeat(fv[0], gv[0].size)[kept], np.tile(gv[0], fv[0].size)[kept]), joint[kept]
     _check_total(joint.tolist())
-    return _bind_arrays(s0, s1, joint, h), _bind_arrays(s0, s1, joint, k)
-
-
-def _bind_arrays(s0: np.ndarray, s1: np.ndarray, m: np.ndarray, choice: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``bind`` of the pair states (s0, s1) with masses m and a choice, on
-    arrays: each state's outcomes in the order ``outcomes`` lists them, mass
-    m*w."""
-    values, weights, keep = _branch_outcomes(choice, s0, s1)
-    keep = keep.T
-    return _gathered(values.T[keep][None], (m[:, None] * weights.T)[keep])
+    bound = []
+    for choice in (h, k):  # each state's outcomes in the order ``outcomes`` lists them, mass m*w
+        values, weights, keep = _branch_outcomes(choice, states)
+        bound.append(_gathered(values[keep][None], (joint[:, None] * weights)[keep]))
+    return tuple(bound)
 
 
 def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -414,8 +388,8 @@ def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray,
     arrays: at each state, each left outcome with each right one, weight
     mb*mc, light ones dropped, as ``_Pair.outcomes`` lists them; mass m*(mb*mc)."""
     (s0, s1), m = state
-    lv, lw, lk = (x.T[:, :, None] for x in _branch_outcomes(left, s0, s1))
-    rv, rw, rk = (x.T[:, None, :] for x in _branch_outcomes(right, s0, s1))
+    lv, lw, lk = (x[:, :, None] for x in _branch_outcomes(left, (s0, s1)))
+    rv, rw, rk = (x[:, None, :] for x in _branch_outcomes(right, (s0, s1)))
     weights = lw * rw
     keep = lk & rk & (weights >= PRUNE_EPS)
     keys = np.array([np.broadcast_to(lv, keep.shape)[keep], np.broadcast_to(rv, keep.shape)[keep]])
@@ -428,7 +402,7 @@ def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
     joint has ``_ARRAY_JOINT`` entries, then on arrays if the states hold
     ints and every value of the remaining layers stays in int64, else on
     Dists to the end."""
-    choices = _affine_choice(h.step), _affine_choice(k.step)
+    choices = _affine_choice(h.step, 2), _affine_choice(k.step, 2)
     if None in choices:
         return None
     fg, arrays = (h.base, k.base), True
@@ -451,9 +425,7 @@ def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | No
     pairs and every value of the remaining layers stays in int64, else on
     Dists to the end."""
     step = _as_step(step)
-    if type(step) is not _Pair:
-        return None
-    choices = _affine_choice(step[0]), _affine_choice(step[1])
+    choices = tuple(_affine_choice(s, 2) for s in step) if type(step) is _Pair else (None,)
     if None in choices:
         return None
     d, arrays = base, True

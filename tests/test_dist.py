@@ -1,6 +1,8 @@
 """Distribution-core tests: examples, invariants (hypothesis), rendering."""
 
 import math
+import operator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,18 @@ from probfold.dist import (
     support_key,
     tv_distance,
     _Choice,
+    _affine,
+    _affine_choice,
+    _identity,
+    _pair_value,
     _paired,
+    _plus_one,
+    _plus_two,
+    _second,
+    _sum,
+    _zero,
 )
-from probfold.cases import fadd, mfib, mfibl, msq
+from probfold.cases import _faulty, fadd, mfib, mfibl, msq
 
 settings.register_profile("deterministic", derandomize=True, max_examples=100, deadline=None)
 settings.load_profile("deterministic")
@@ -93,6 +104,67 @@ def test_a_value_that_cannot_be_a_support_value_is_a_domain_error(value):
         with pytest.raises(DomainError) as err:
             make(value)
         assert repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize("support, first, second", [
+    ([(True, 0.5), (1, 0.5)], "True", "1"),
+    ([(0, 0.5), (False, 0.5)], "0", "False"),
+    ([(1.0, 0.5), (True, 0.5)], "1.0", "True"),
+    ([((True, 0), 0.5), ((1, 0), 0.5)], "(True, 0)", "(1, 0)"),
+])
+def test_a_bool_and_the_number_it_equals_are_not_merged(support, first, second):
+    # they used to merge into the first one's key: Dist({True: 1.0})
+    with pytest.raises(DomainError) as err:
+        Dist(support)
+    assert str(err.value) == f"support values {first} and {second} are equal, but a bool is not a number"
+
+
+def test_equal_numbers_and_equal_bools_still_merge():
+    assert Dist([(1, 0.5), (1.0, 0.5)]).items() == ((1, 1.0),)
+    assert Dist([(True, 0.5), (True, 0.5)]).items() == ((True, 1.0),)
+    assert Dist([(False, 0.5), (2, 0.5)]).support == (False, 2)
+
+
+def _through_form(form, state):
+    """The value of the affine branch with data ``form`` at ``state`` (a tuple of ints)."""
+    return sum(k * s for k, s in zip(form, state)) + form[-1]
+
+
+_INT_STATES = [(y,) for y in (-7, -1, 0, 1, 2, 13)]
+_PAIR_STATES = [(x, y) for x in (-3, 0, 1, 5) for y in (-2, 0, 1, 9)]
+
+
+_BRANCHES = {
+    "identity": (_identity, _INT_STATES), "zero": (_zero, _INT_STATES),
+    "add -4": (partial(operator.add, -4), _INT_STATES), "add 3": (partial(operator.add, 3), _INT_STATES),
+    "second": (_second, _PAIR_STATES), "sum": (_sum, _PAIR_STATES), "plus_one": (_plus_one, _PAIR_STATES),
+    "plus_two": (_plus_two, _PAIR_STATES), "pair_value -1 2 3": (partial(_pair_value, -1, 2, 3), _PAIR_STATES),
+    "pair_value 0 0 -5": (partial(_pair_value, 0, 0, -5), _PAIR_STATES),
+}
+
+
+@pytest.mark.parametrize("branch, states", list(_BRANCHES.values()), ids=list(_BRANCHES))
+def test_the_form_table_gives_each_branch_its_values(branch, states):
+    form = _affine(branch)
+    assert len(form) == len(states[0]) + 1
+    for state in states:
+        assert _through_form(form, state) == branch(state[0] if len(state) == 1 else state)
+
+
+def test_float_bool_and_opaque_branches_have_no_form():
+    for branch in (partial(operator.add, 2.5), partial(operator.add, True), partial(operator.sub, 1),
+                   partial(operator.add, 1, 2), lambda y: y, partial(_pair_value, 1, 0, 2.5),
+                   partial(_pair_value, True, 0, 0), partial(_pair_value, 1, 0), operator.itemgetter(0)):
+        assert _affine(branch) is None
+
+
+def test_each_view_reads_only_choices_over_its_own_states():
+    p = 0.1
+    assert _affine_choice(fadd(p, 2), 2) is None
+    assert _affine_choice(_faulty(p, _sum), 1) is None
+    assert _affine_choice(fadd(p, 2), 1) == ([p, 1.0 - p], [(1, 0), (1, 2)])
+    assert _affine_choice(_faulty(p, _sum), 2) == ([p, 1.0 - p], [(0, 1, 0), (1, 1, 0)])
+    assert _affine_choice(lambda y: dirac(y), 1) is None
 
 
 def test_choice_definition_and_boundaries():
@@ -224,8 +296,15 @@ def _support_lists():
 @given(_support_lists())
 def test_support_is_in_support_key_order(vs):
     # all-number, all-string and number-tuple supports sort natively; every
-    # other mix (bools, nested or str/int tuples, mixed kinds) by support_key
-    d = Dist([(v, 1.0 / len(vs)) for v in vs])
+    # other mix (bools, nested or str/int tuples, mixed kinds) by support_key.
+    # A bool and the number it equals, which support_key keeps apart, are refused
+    clash = any(v == w and support_key(v) != support_key(w) for v in vs for w in vs)
+    try:
+        d = Dist([(v, 1.0 / len(vs)) for v in vs])
+    except DomainError:
+        assert clash
+        return
+    assert not clash
     assert list(d.support) == sorted(d.support, key=support_key)
 
 

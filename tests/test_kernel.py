@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from probfold import schemes
 from probfold.cases import msq, msq_prime, sq_algebras
-from probfold.dist import (Dist, DistributionError, _Choice, _pair_affine, _pair_value, _paired, _plus_one,
-                           _plus_two, _Plain, _second, _sum, dirac, pair)
+from probfold.dist import _affine as _pair_affine
+from probfold.dist import (Dist, DistributionError, _Choice, _pair_value, _paired, _plus_one, _plus_two, _Plain,
+                           _second, _sum, dirac, pair)
 from probfold.functors import ForLoopF
 from probfold.schemes import Algebra, cata_eval, mutual_eval
 
@@ -166,6 +167,17 @@ def test_what_the_kernel_cannot_hold_takes_the_dict_path_unchanged(label, h, k):
     assert folded.items() == cata_eval(_FOR, tupled(h_ref, k_ref), n).items()
     assert all(type(v) is int or type(v) is bool for d in results for v in d.support)
     assert (max(results[0].support) >= 2**63) == label.startswith(("near", "leaves"))
+
+
+def test_a_coefficient_outside_int64_takes_the_dict_path():
+    # f stays 0, so 2**70 * f is 0, but numpy cannot take 2**70 as an int64:
+    # the array layer raised OverflowError once g had 128 values
+    zero = Algebra(_FOR, dirac(0), _Choice(((1.0, partial(_pair_value, 0, 0, 0)),)))
+    doubling = Algebra(_FOR, dirac(0), _Choice(((0.5, partial(_pair_value, 2**70, 2, 0)),
+                                                (0.5, partial(_pair_value, 2**70, 2, 1)))))
+    f, g = mutual_eval(_FOR, zero, doubling, 9)
+    assert f.items() == ((0, 1.0),)
+    assert g.items() == tuple((v, 2.0**-9) for v in range(512))
 
 
 def test_a_loop_that_stays_in_int64_runs_on_arrays():

@@ -85,6 +85,29 @@ def test_dim_index_errors():
         EnumDim(("a", "a"))
 
 
+@pytest.mark.parametrize("dim, value", [
+    (Range(2), True), (Range(2), False), (BOOLS, 1), (BOOLS, 0.0),
+    (Product(Range(2), Range(2)), (True, 0)), (Product(BOOLS, Range(2)), (1, 0)),
+])
+def test_a_bool_is_not_an_element_of_a_number_dim_nor_a_number_of_bools(dim, value):
+    # each equals an element, which used to make it one
+    assert value not in dim
+    with pytest.raises(KeyError) as err:
+        dim.index_of(value)
+    assert str(err.value) == repr(f"{value!r} is not an element of {dim}")
+    assert 1 in Range(2) and True in BOOLS and (True, 1) in Product(BOOLS, Range(2))
+
+
+@pytest.mark.parametrize("value, rows", [(True, Range(2)), (1, BOOLS)])
+def test_a_bool_does_not_fill_the_row_of_the_number_it_equals(value, rows):
+    m, escapes = from_probfn_truncated(lambda a: dirac(value), Range(1), rows)
+    assert escapes == {0: [(value, 1.0)]} and type(escapes[0][0][0]) is type(value)
+    assert not m.data.any()
+    with pytest.raises(TruncationError) as err:
+        from_probfn(lambda a: dirac(value), Range(1), rows)
+    assert str(err.value) == f"support value {value!r} of input 0 escapes output dim {rows}"
+
+
 @pytest.mark.parametrize("size", [2.5, "3", True])
 def test_range_rejects_a_size_that_is_not_an_int(size):
     with pytest.raises(ValueError) as err:
@@ -446,6 +469,33 @@ def test_a_choice_of_affine_branches_gives_the_column_loop_body(name):
                 assert messages[0] == messages[1]
                 texts = [repr(escapes)] + [m for m in messages if isinstance(m, str)]
                 assert not any("np." in text for text in texts)
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTY_ADDITIONS))
+def test_the_int64_bound_holds_at_its_edge_in_the_matrix_view(name):
+    # over Range(M), addend 2**63 - M gives 2**63 - 1 at the last input, the
+    # largest int64: still built as arrays; one more takes the column loop.
+    # Both give the plain-lambda loop's body, escapes and strict-mode text
+    for m in (1, 5, 201):
+        dim = Range(m)
+        for x, on_arrays in ((2**63 - m, True), (2**63 - m + 1, False)):
+            for p in (0.0, 0.1, 1.0):
+                step = _FAULTY_ADDITIONS[name](p, x)
+                per_value = lambda v, step=step: step(v)
+                body, escapes = from_probfn_truncated(step, dim, dim)
+                ref_body, ref_escapes = from_probfn_truncated(per_value, dim, dim)
+                assert isinstance(body, _Sparse) == on_arrays
+                assert body.data.tobytes() == ref_body.data.tobytes()
+                assert repr(escapes) == repr(ref_escapes)
+                if escapes:  # the last input's shift is the largest value
+                    assert max(v for lost in escapes.values() for v, _ in lost) == x + m - 1
+                texts = []
+                for f in (step, per_value):
+                    try:
+                        texts.append(from_probfn(f, dim, dim).data.tobytes())
+                    except TruncationError as err:
+                        texts.append(str(err))
+                assert texts[0] == texts[1]
 
 
 # y -> a*y + c with a in {0, 1}: a shift by any int c (c=0 also as the

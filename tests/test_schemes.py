@@ -408,9 +408,10 @@ def test_fixpoint_rejects_an_init_that_is_not_a_distribution(mass):
     assert str(err.value) == f"init must be a distribution over {d}, but it sums to {mass!r}"
 
 
-@pytest.mark.parametrize("key", [-1, 2])
+@pytest.mark.parametrize("key", [-1, 2, True, 1.0])
 def test_fixpoint_rejects_escapes_keys_that_are_not_states(key):
-    # -1 would name the last state, where init puts all its mass; 2 is past the end
+    # -1 would name the last state, where init puts all its mass; 2 is past
+    # the end; True and 1.0 equal the index 1 but are not one
     d = Range(2)
     init = from_sharp_fn(lambda _u: 1, UNIT, d)
     with pytest.raises(DomainError) as err:
