@@ -142,7 +142,9 @@ class Dist:
         self._mass = {v: acc[v] for v in _sorted_support(acc)}
 
     def mass(self, value: Any) -> float:
-        return self._mass.get(canonical_value(value), 0.0)
+        """The mass at ``value``, 0.0 off the support; a bool is not the number it equals."""
+        value = canonical_value(value)
+        return next((m for v, m in self._mass.items() if v == value and _alike(v, value)), 0.0)
 
     def items(self) -> tuple[tuple[Any, float], ...]:
         return tuple(self._mass.items())
@@ -161,10 +163,12 @@ class Dist:
         return iter(self._mass)
 
     def __contains__(self, value: Any) -> bool:
-        return canonical_value(value) in self._mass
+        return self.mass(value) > 0.0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Dist) and self._mass == other._mass
+        # equal dicts of alike values list them in the same (support) order
+        return (isinstance(other, Dist) and self._mass == other._mass
+                and all(v == w and _alike(v, w) for v, w in zip(self._mass, other._mass)))
 
     def __repr__(self) -> str:
         return f"Dist({self._mass!r})"
@@ -250,9 +254,18 @@ def marginals(d: Dist) -> tuple[Dist, Dist]:
 
 
 def tv_distance(d: Dist, e: Dist) -> float:
-    """Total variation distance: half the L1 distance between the masses."""
-    values = set(d.support) | set(e.support)
-    return 0.5 * math.fsum(abs(d.mass(v) - e.mass(v)) for v in values)
+    """Total variation distance: half the L1 distance between the masses. A
+    bool and the number it equals are two values."""
+    unmatched = dict(zip(e._mass, e._mass))  # e's values, by value
+    gaps = []
+    for v, m in d._mass.items():
+        w = unmatched.get(v)
+        if w is not None and _alike(v, w):
+            del unmatched[v]
+            m -= e._mass[w]
+        gaps.append(abs(m))
+    gaps.extend(e._mass[w] for w in unmatched.values())
+    return 0.5 * math.fsum(gaps)
 
 
 def normalize(weights: dict | Iterable[tuple[Any, float]]) -> Dist:

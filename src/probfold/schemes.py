@@ -121,8 +121,8 @@ def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     """Evaluate the catamorphism of ``alg`` on one initial-algebra value.
 
     A for-loop over int pairs whose step pairs two choices of affine branches
-    (a tupled square program) runs on arrays once its state has
-    ``_ARRAY_STATE`` entries; the result is the same, bit for bit."""
+    (a tupled square program) runs on arrays; the result is the same, bit for
+    bit."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
     return _fold(functor, alg.step, alg.base, value)
@@ -268,9 +268,9 @@ def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tup
     recursive occurrences independently (the pre-tupling semantics).
 
     Two for-loops over ints whose steps are choices of affine branches (the
-    square programs) run on arrays once the joint of their results has
-    ``_ARRAY_JOINT`` entries: one outer product and one scatter-add per step
-    and layer, with the same results and total-mass errors, bit for bit."""
+    square programs) run on arrays: one outer product and one scatter-add per
+    step and layer, with the same results and total-mass errors, bit for
+    bit."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
     if isinstance(functor, ForLoopF):
@@ -295,14 +295,6 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
     return bind(joint, layer[0]), bind(joint, layer[1])
 
 
-# A for-loop over choices of affine branches runs on Dists until a mutual
-# layer's joint has _ARRAY_JOINT entries or a tupled layer's state has
-# _ARRAY_STATE, and on arrays from there: an array layer costs about 0.1 ms
-# of numpy calls whatever its size, a dict layer about 1.5 us per joint entry
-# or 4 us per tupled state. On a 2-core box the two broke even at about 110
-# joint entries (msq') and 25 states (msql, msql').
-_ARRAY_JOINT = 128
-_ARRAY_STATE = 32
 # an array layer sums the masses per value over the span of the values when
 # it has at most this many slots per move: one bincount over the offsets,
 # about 40 times faster than sorting 20,000 moves to number their values
@@ -397,50 +389,32 @@ def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray,
 
 
 def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
-    """``mutual_eval`` of two for-loop algebras whose steps are choices of
-    affine branches; None for any other pair. Layers run on Dists until the
-    joint has ``_ARRAY_JOINT`` entries, then on arrays if the states hold
-    ints and every value of the remaining layers stays in int64, else on
-    Dists to the end."""
+    """``mutual_eval`` of two for-loop algebras on arrays, when their steps
+    are choices of affine branches, their bases hold ints and every value of
+    the ``n`` layers stays in int64; None for any other pair."""
     choices = _affine_choice(h.step, 2), _affine_choice(k.step, 2)
-    if None in choices:
+    if None in choices or not _stays_int64((h.base.support, k.base.support), choices, n):
         return None
-    fg, arrays = (h.base, k.base), True
-    for done in range(n):
-        if arrays and len(fg[0]) * len(fg[1]) >= _ARRAY_JOINT:
-            if _stays_int64((fg[0].support, fg[1].support), choices, n - done):
-                f, g = _arrays(fg[0]), _arrays(fg[1])
-                for _ in range(done, n):
-                    f, g = _mutual_arrays(f, g, *choices)
-                return _dist(f), _dist(g)
-            arrays = False
-        fg = _mutual_layer(fg, (h.step, k.step))
-    return fg
+    f, g = _arrays(h.base), _arrays(k.base)
+    for _ in range(n):
+        f, g = _mutual_arrays(f, g, *choices)
+    return _dist(f), _dist(g)
 
 
 def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | None:
-    """The for-loop of ``step`` from ``base`` when the step pairs two choices
-    of affine branches; None for any other step. Layers run on Dists until
-    the state has ``_ARRAY_STATE`` entries, then on arrays if it holds int
-    pairs and every value of the remaining layers stays in int64, else on
-    Dists to the end."""
+    """The for-loop of ``step`` from ``base`` on arrays, when the step pairs
+    two choices of affine branches, the base holds int pairs and every value
+    of the ``n`` layers stays in int64; None for any other loop."""
     step = _as_step(step)
     choices = tuple(_affine_choice(s, 2) for s in step) if type(step) is _Pair else (None,)
-    if None in choices:
+    pairs = base.support
+    if (None in choices or not all(type(v) is tuple and len(v) == 2 for v in pairs)
+            or not _stays_int64(tuple(zip(*pairs)), choices, n)):
         return None
-    d, arrays = base, True
-    for done in range(n):
-        if arrays and len(d) >= _ARRAY_STATE:
-            pairs = d.support
-            if (all(type(v) is tuple and len(v) == 2 for v in pairs)
-                    and _stays_int64(tuple(zip(*pairs)), choices, n - done)):
-                state = _arrays(d)
-                for _ in range(done, n):
-                    state = _tupled_arrays(state, *choices)
-                return _dist(state)
-            arrays = False
-        d = bind(d, step)
-    return d
+    state = _arrays(base)
+    for _ in range(n):
+        state = _tupled_arrays(state, *choices)
+    return _dist(state)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,20 @@ def test_equal_numbers_and_equal_bools_still_merge():
     assert Dist([(False, 0.5), (2, 0.5)]).support == (False, 2)
 
 
+def test_mass_membership_equality_and_distance_tell_a_bool_from_a_number():
+    # each read True as 1 through plain dict equality
+    for held, other in ((1, True), (True, 1), (0.0, False), ((1, 0), (True, 0)), ((False,), (0,))):
+        d = Dist({held: 0.25, "x": 0.75})
+        assert (d.mass(held), d.mass(other)) == (0.25, 0.0)
+        assert held in d and other not in d
+        assert dirac(held) == dirac(held) and dirac(held) != dirac(other)
+        assert tv_distance(dirac(held), dirac(other)) == 1.0
+        assert tv_distance(d, Dist({other: 0.25, "x": 0.75})) == 0.25
+    assert Dist({1: 1.0}).mass(1.0) == 1.0 and [1, 0] in dirac((1, 0)) and dirac(1) == dirac(1.0)
+    assert tv_distance(Dist({True: 0.5, 0: 0.5}), Dist({False: 0.5, 1: 0.5})) == 1.0
+    assert Dist({True: 0.5, 0: 0.5}) != Dist({False: 0.5, 1: 0.5})
+
+
 def _through_form(form, state):
     """The value of the affine branch with data ``form`` at ``state`` (a tuple of ints)."""
     return sum(k * s for k, s in zip(form, state)) + form[-1]

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probfold import schemes
-from probfold.cases import msq, msq_prime, sq_algebras
+from probfold.cases import msq, msq_prime, msql, sq_algebras, sq_prime_algebras
 from probfold.dist import _affine as _pair_affine
 from probfold.dist import (Dist, DistributionError, _Choice, _pair_value, _paired, _plus_one, _plus_two, _Plain,
                            _second, _sum, dirac, pair)
@@ -23,8 +23,8 @@ _NAMED = (_second, _sum, _plus_one, _plus_two)
 
 
 @contextmanager
-def _arrays_from_the_first_layer():
-    """Run every eligible layer on arrays, and count the array layers run."""
+def _counted_array_layers():
+    """Count the array layers run."""
     ran = {"layers": 0}
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_mutual_arrays", "_tupled_arrays"):
@@ -34,8 +34,6 @@ def _arrays_from_the_first_layer():
                 ran["layers"] += 1
                 return layer(*args)
             mp.setattr(schemes, name, counted)
-        mp.setattr(schemes, "_ARRAY_JOINT", 0)
-        mp.setattr(schemes, "_ARRAY_STATE", 0)
         yield ran
 
 
@@ -105,7 +103,7 @@ def _loop_count(n: int, folds, size) -> int:
 def test_mutual_loops_on_arrays_give_the_dict_path_bit_for_bit(h, k, f0, g0, n):
     h_ref, k_ref = Algebra(_FOR, f0, _opaque(h)), Algebra(_FOR, g0, _opaque(k))
     n = _loop_count(n, schemes._mutual_folds(_FOR, h_ref, k_ref, n), lambda fg: len(fg[0]) * len(fg[1]))
-    with _arrays_from_the_first_layer() as ran:
+    with _counted_array_layers() as ran:
         reference = _outcome(lambda: mutual_eval(_FOR, h_ref, k_ref, n))
         assert ran["layers"] == 0
         assert _outcome(lambda: mutual_eval(_FOR, Algebra(_FOR, f0, h), Algebra(_FOR, g0, k), n)) == reference
@@ -117,28 +115,44 @@ def test_mutual_loops_on_arrays_give_the_dict_path_bit_for_bit(h, k, f0, g0, n):
 def test_tupled_loops_on_arrays_give_the_dict_path_bit_for_bit(h, k, d0, n):
     step = _paired(_opaque(h), _opaque(k))
     n = _loop_count(n, schemes._folds(itertools.repeat(step, n), d0), len)
-    with _arrays_from_the_first_layer() as ran:
+    with _counted_array_layers() as ran:
         reference = _outcome(lambda: cata_eval(_FOR, Algebra(_FOR, d0, step), n))
         assert ran["layers"] == 0
         assert _outcome(lambda: cata_eval(_FOR, Algebra(_FOR, d0, _paired(h, k)), n)) == reference
     assert ran["layers"] >= (n > 0)
 
 
-@pytest.mark.parametrize("on_arrays", [False, True], ids=["default", "arrays-from-the-first-layer"])
-def test_the_drift_error_comes_at_the_same_loop_count_with_the_same_text(on_arrays):
+def _dict_path(algebras: tuple[Algebra, Algebra], n: int) -> Dist:
+    return mutual_eval(_FOR, *map(_reference, algebras), n)[0]
+
+
+_DRIFT_RUNS = {
+    "arrays": (partial(msq, 0.1), partial(msq_prime, 0.1, 0.1)),
+    "dict path": (partial(_dict_path, sq_algebras(0.1)), partial(_dict_path, sq_prime_algebras(0.1, 0.1))),
+}
+
+
+@pytest.mark.parametrize("path", list(_DRIFT_RUNS))
+def test_the_drift_error_comes_at_the_same_loop_count_with_the_same_text(path):
     # the rounding drift of re-pairing marginals crosses PROPER_TOL at msq n=29
     # and msq' n=27; a kernel that renormalised, or skipped a layer's check,
     # would pass there or name another total
-    with pytest.MonkeyPatch.context() as mp:
-        if on_arrays:
-            mp.setattr(schemes, "_ARRAY_JOINT", 0)
-        msq(0.1, 28)
-        msq_prime(0.1, 0.1, 26)
-        for run, total in ((lambda: msq(0.1, 29), "1.0000000019355464"),
-                           (lambda: msq_prime(0.1, 0.1, 27), "1.0000000013284296")):
+    sq, sq_prime = _DRIFT_RUNS[path]
+    with _counted_array_layers() as ran:
+        sq(28)
+        sq_prime(26)
+        for run, n, total in ((sq, 29, "1.0000000019355464"), (sq_prime, 27, "1.0000000013284296")):
             with pytest.raises(DistributionError) as err:
-                run()
+                run(n)
             assert str(err.value) == f"total mass {total} is not 1 (within 1e-09)"
+    assert ran["layers"] == (28 + 26 + 29 + 27 if path == "arrays" else 0)
+
+
+def test_the_square_programs_run_every_layer_on_arrays():
+    for run in (msq, msql):
+        with _counted_array_layers() as ran:
+            run(0.1, 5)
+        assert ran["layers"] == 5
 
 
 def _reference(alg: Algebra) -> Algebra:
@@ -158,7 +172,7 @@ def _fallbacks():
 def test_what_the_kernel_cannot_hold_takes_the_dict_path_unchanged(label, h, k):
     n = 6
     tupled = lambda h, k: Algebra(_FOR, pair(h.base, k.base), _paired(h.step, k.step))
-    with _arrays_from_the_first_layer() as ran:
+    with _counted_array_layers() as ran:
         results = mutual_eval(_FOR, h, k, n)
         folded = cata_eval(_FOR, tupled(h, k), n)
     assert ran["layers"] == 0
@@ -171,7 +185,7 @@ def test_what_the_kernel_cannot_hold_takes_the_dict_path_unchanged(label, h, k):
 
 def test_a_coefficient_outside_int64_takes_the_dict_path():
     # f stays 0, so 2**70 * f is 0, but numpy cannot take 2**70 as an int64:
-    # the array layer raised OverflowError once g had 128 values
+    # the array layer raised OverflowError
     zero = Algebra(_FOR, dirac(0), _Choice(((1.0, partial(_pair_value, 0, 0, 0)),)))
     doubling = Algebra(_FOR, dirac(0), _Choice(((0.5, partial(_pair_value, 2**70, 2, 0)),
                                                 (0.5, partial(_pair_value, 2**70, 2, 1)))))
@@ -183,7 +197,7 @@ def test_a_coefficient_outside_int64_takes_the_dict_path():
 def test_a_loop_that_stays_in_int64_runs_on_arrays():
     h, k = sq_algebras(0.3)
     k = Algebra(_FOR, dirac(2**61), k.step)
-    with _arrays_from_the_first_layer() as ran:
+    with _counted_array_layers() as ran:
         results = mutual_eval(_FOR, h, k, 3)
     assert ran["layers"] == 3
     assert [d.items() for d in results] == [d.items() for d in mutual_eval(_FOR, _reference(h), _reference(k), 3)]
@@ -191,7 +205,7 @@ def test_a_loop_that_stays_in_int64_runs_on_arrays():
 
 def test_array_results_hold_python_ints_and_name_no_numpy_type():
     h, k = sq_algebras(0.2)
-    with _arrays_from_the_first_layer() as ran:
+    with _counted_array_layers() as ran:
         f, g = mutual_eval(_FOR, h, k, 8)
         d = cata_eval(_FOR, Algebra(_FOR, pair(h.base, k.base), _paired(h.step, k.step)), 8)
         with pytest.raises(DistributionError) as err:
