@@ -68,14 +68,12 @@ def _last(folds: Iterator) -> Any:
 
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
-    ``value``, innermost first, starting from ``base``. A for-loop whose step
-    pairs two choices of affine branches over int pairs runs on arrays
-    (``_tupled_affine``), with the same result."""
-    if isinstance(functor, ForLoopF):
-        folded = _tupled_affine(step, base, functor._count(value))
-        if folded is not None:
-            return folded
-    return _last(_folds(functor.layers(step, value), base))
+    ``value``, innermost first, starting from ``base``. A for-loop of paired
+    affine choices over int pairs (``_tupled_affine``) and a fold of int shifts
+    (``_shifted``) run on arrays, with the same result. No Dist is false."""
+    step = _as_step(step)  # once, not once per layer
+    folded = _tupled_affine(step, base, functor._count(value)) if isinstance(functor, ForLoopF) else None
+    return folded or _shifted(functor, step, base, value) or _last(_folds(functor.layers(step, value), base))
 
 
 def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
@@ -296,8 +294,8 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
 
 
 # an array layer sums the masses per value over the span of the values when
-# it has at most this many slots per move: one bincount over the offsets,
-# about 40 times faster than sorting 20,000 moves to number their values
+# it has at most this many slots per move (a fold of shifts, per value): one
+# bincount over the offsets, 40 times faster than sorting 20,000 moves
 _DENSE_SPAN = 8
 
 
@@ -415,6 +413,68 @@ def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | No
     for _ in range(n):
         state = _tupled_arrays(state, *choices)
     return _dist(state)
+
+
+def _shifts(functor: FunctorDesc, step: Callable[[Any], Dist], value: Any) -> tuple[list, int] | None:
+    """A fold's layers when every branch shifts an int y to y + c, innermost
+    first, as (layers, times): each layer, the (c, w) ``_Choice.outcomes`` gives
+    at y = 0 in descending c, runs ``times`` times. A for-loop's branches are
+    (1, c); a list fold's (a, 1, c) shift by a*e + c at an element e, an int
+    unless every branch is a named one with a = 0 (``_pair_value`` takes 0*e).
+    None for any other fold, and for one with no layers."""
+    if not isinstance(functor, (ForLoopF, ListF)):
+        return None
+    list_fold = isinstance(functor, ListF)
+    elements = functor._sequence(value)[::-1] if list_fold else ()
+    n = len(elements) if list_fold else functor._count(value)
+    choice = _affine_choice(step, 1 + list_fold) if n else None
+    if choice is None or any(form[-2] != 1 for form in choice[1]):
+        return None
+    step, forms = _as_step(step), choice[1]
+    layer = lambda state: sorted(step.outcomes(state), reverse=True)
+    if not list_fold:
+        return [layer(0)], n
+    if not all(type(e) is int for e in elements):
+        if any(a or type(f) is partial for (a, _, _), (_, f) in zip(forms, step)):
+            return None
+    elif any(a for a, _, _ in forms):
+        return [layer((e, 0)) for e in elements], 1
+    return [layer((elements[0], 0))], n
+
+
+def _shifted(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist | None:
+    """The fold on one float64 array of masses at values lo, lo + 1, ..., when
+    every branch shifts an int (``_shifts``), the base holds ints and the final
+    span has at most ``_DENSE_SPAN`` slots per value it surely reaches (as
+    |A + B| >= |A| + |B| - 1 for sets of ints); None for any other fold."""
+    shifts = _shifts(functor, step, value)
+    if shifts is None or not all(type(v) is int for v in base._mass):
+        return None
+    (layers, times), lo, hi = shifts, min(base._mass), max(base._mass)
+    span = hi - lo + 1 + times * sum(layer[0][0] - layer[-1][0] for layer in layers)
+    if span > _DENSE_SPAN * (len(base) + times * sum(len(layer) - 1 for layer in layers)):
+        return None
+    masses = np.zeros(hi - lo + 1)
+    masses[[v - lo for v in base._mass]] = list(base._mass.values())
+    for layer in layers:
+        weights = np.array([w for _, w in layer])[:, None]
+        for _ in range(times):
+            masses, lo = _shift_layer(masses, lo, layer, weights)
+    kept = masses.nonzero()[0]
+    return Dist(_Masses(zip([lo + i for i in kept.tolist()], masses[kept].tolist())))
+
+
+def _shift_layer(masses: np.ndarray, lo: int, layer: list, weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """One layer of ``_shifted``: the copies m*w added in descending shift, the input-major order of ``bind``'s
+    sums, so every float is ``bind``'s; then light sums zeroed, the total checked and zero ends cut."""
+    low = layer[-1][0]
+    moved = np.zeros(masses.size + layer[0][0] - low)
+    for (c, _), row in zip(layer, weights * masses):
+        moved[c - low:c - low + masses.size] += row
+    np.putmask(moved, moved < PRUNE_EPS, 0.0)
+    _check_total(moved.tolist())
+    kept = moved.nonzero()[0]
+    return moved[kept[0]:kept[-1] + 1], lo + low + int(kept[0])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""The array kernel of for-loops over choices of affine pair-state branches,
-checked bit for bit against the dict path it replaces."""
+"""The array kernels of for-loops over choices of affine pair-state branches
+and of folds of shifts over ints, checked bit for bit against the dict path
+they replace."""
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from functools import partial
 
@@ -11,23 +13,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probfold import schemes
-from probfold.cases import msq, msq_prime, msql, sq_algebras, sq_prime_algebras
+from probfold.cases import (fadd, fadd_combined, fadd_zero, favg_pair, fcat_algebra, fcount, fsum, fsum_algebra, ftwice,
+                            msq, msq_prime, msql, pipeline_consolidated, sq_algebras, sq_prime_algebras)
 from probfold.dist import _affine as _pair_affine
-from probfold.dist import (Dist, DistributionError, _Choice, _pair_value, _paired, _plus_one, _plus_two, _Plain,
-                           _second, _sum, dirac, pair)
+from probfold.dist import (PROPER_TOL, PRUNE_EPS, Dist, DistributionError, _Choice, _identity, _pair_value, _paired,
+                           _plus_one, _plus_two, _Plain, _second, _sum, dirac, pair)
 from probfold.functors import ForLoopF
-from probfold.schemes import Algebra, cata_eval, mutual_eval
+from probfold.schemes import Algebra, cata_eval, fold_list, for_loop, mutual_eval
 
 _FOR = ForLoopF()
 _NAMED = (_second, _sum, _plus_one, _plus_two)
 
 
 @contextmanager
-def _counted_array_layers():
-    """Count the array layers run."""
+def _counted_array_layers(names=("_mutual_arrays", "_tupled_arrays")):
+    """Count the array layers run: those of the pair-state kernels, or of the
+    kernels ``names``."""
     ran = {"layers": 0}
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_mutual_arrays", "_tupled_arrays"):
+        for name in names:
             layer = getattr(schemes, name)
 
             def counted(*args, layer=layer):
@@ -37,11 +41,14 @@ def _counted_array_layers():
         yield ran
 
 
+_counted_shift_layers = partial(_counted_array_layers, ("_shift_layer",))
+
+
 def _outcome(run) -> str:
     try:
         out = run()
         return repr(out.items() if isinstance(out, Dist) else [d.items() for d in out])
-    except DistributionError as err:
+    except (DistributionError, TypeError) as err:
         return f"{type(err).__name__}: {err}"
 
 
@@ -216,3 +223,119 @@ def test_array_results_hold_python_ints_and_name_no_numpy_type():
     assert all(type(m) is float for _, m in f.items() + g.items() + d.items())
     for text in (repr(f), repr(g), repr(d), str(err.value)):
         assert "np." not in text and "int64" not in text
+
+
+# --- folds of shifts over ints on one dense mass array ---------------------------
+
+_SHIFT_WEIGHTS = st.sampled_from([0.0, 1e-16, PRUNE_EPS, 0.1, 0.25, 0.5, 0.7])
+# a total off by up to PROPER_TOL passes the choice's check, and the loop's
+# drift error fires within a few layers
+_DRIFTS = st.one_of(st.just(0.0), st.sampled_from([0.5 * PROPER_TOL, 0.99 * PROPER_TOL, -0.99 * PROPER_TOL]))
+
+
+@st.composite
+def _shift_choices(draw, branches):
+    fs = draw(st.lists(branches, min_size=1, max_size=4))
+    weights = [draw(_SHIFT_WEIGHTS) for _ in fs[1:]]
+    first = 1.0 - math.fsum(weights) + draw(_DRIFTS)
+    assume(0.0 <= first <= 1.0)
+    return _Choice(zip([first] + weights, fs))
+
+
+_ADDS = st.integers(-3, 5).flatmap(lambda c: st.sampled_from([partial(operator.add, c)] + [_identity] * (c == 0)))
+_LIST_BRANCHES = st.one_of(st.sampled_from(_NAMED),
+                           st.builds(partial, st.just(_pair_value), st.integers(-1, 2), st.just(1), st.integers(-3, 5)))
+# branches that pass over an element that is not an int
+_LETTER_BRANCHES = st.one_of(st.sampled_from([_second, _plus_one, _plus_two]), _LIST_BRANCHES)
+
+
+@st.composite
+def _list_folds(draw):
+    """A step of shifts and an input of ints or letters."""
+    xs = draw(st.one_of(st.lists(st.integers(-3, 5), min_size=1, max_size=12), st.text("abc", min_size=1, max_size=12)))
+    return draw(_shift_choices(_LETTER_BRANCHES if isinstance(xs, str) else _LIST_BRANCHES)), xs
+
+
+@st.composite
+def _int_bases(draw):
+    """A base over ints: values within 8 of one anchor, negative or 10**30
+    included, or now and then two anchors far apart."""
+    anchors = draw(st.lists(st.sampled_from([0, -7, 10**30, -10**30]), min_size=1, max_size=2, unique=True))
+    return draw(_dists(st.sampled_from(anchors).flatmap(lambda a: st.integers(a, a + 7))))
+
+
+def _near(base: Dist) -> bool:
+    return max(base.support) - min(base.support) < 8
+
+
+def _check_shift_layers(ran: int, outcome: str, layers: int, taken: bool) -> None:
+    """The kernel ran every layer, or those up to the failing one, or none; and
+    at least one where it must take the fold."""
+    assert ran == 0 or ran == layers or (outcome.startswith("DistributionError") and ran < layers)
+    assert ran > 0 or not (taken and layers)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(step=_shift_choices(_ADDS), base=_int_bases(), n=st.integers(0, 40))
+def test_for_loops_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(step, base, n):
+    with _counted_shift_layers() as ran:
+        reference = _outcome(lambda: for_loop(_opaque(step), base, n))
+        assert ran["layers"] == 0
+        outcome = _outcome(lambda: for_loop(step, base, n))
+    assert outcome == reference
+    # a layer spans at most 8 more slots than it has shifts beyond the first
+    _check_shift_layers(ran["layers"], outcome, n, _near(base))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fold=_list_folds(), base=_int_bases())
+def test_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fold, base):
+    step, xs = fold
+    with _counted_shift_layers() as ran:
+        reference = _outcome(lambda: fold_list(_opaque(step), base, xs))
+        assert ran["layers"] == 0
+        outcome = _outcome(lambda: fold_list(step, base, xs))
+    assert outcome == reference
+    scales = {_pair_affine(f)[0] for _, f in step}
+    named = not any(type(f) is partial for _, f in step)
+    _check_shift_layers(ran["layers"], outcome, len(xs),
+                        _near(base) and len(scales) == 1 and (named or not isinstance(xs, str)))
+
+
+def test_the_shift_cases_run_every_layer_on_the_dense_array():
+    runs = {"ftwice": (partial(ftwice, 0.1, 7), 7), "fcount": (partial(fcount, 0.1, "abcde"), 5),
+            "pipeline_consolidated": (partial(pipeline_consolidated, 0.1, 0.2, "abc"), 3),
+            "fsum": (partial(fsum, 0.1, [1, 2, 3]), 3), "favg_pair": (partial(favg_pair, 0.1, 0.2, [1, 2]), 4)}
+    for name, (run, layers) in runs.items():
+        with _counted_shift_layers() as ran:
+            run()
+        assert ran["layers"] == layers, name
+
+
+def test_a_fold_of_shifts_with_no_layers_gives_its_base():
+    base = Dist({-2: 0.25, 10**30: 0.75})
+    assert for_loop(fadd(0.1, 2), base, 0) is base
+    assert fold_list(fsum_algebra(0.1).step, base, "") is base
+
+
+def _shift_fallbacks():
+    """Folds the dense kernel does not take: (label, run, step)."""
+    yield "bool base", lambda s: for_loop(s, dirac(True), 3), fadd(0.1, 2).apply
+    yield "zero branch", lambda s: for_loop(s, dirac(3), 4), fadd_zero(0.1, 2).apply
+    yield "zero and identity branches", lambda s: for_loop(s, dirac(3), 4), fadd_combined(0.1, 0.2, 2).apply
+    yield "float elements under _sum", lambda s: fold_list(s, dirac(0), [1.5, 2, 3]), fsum_algebra(0.1).step
+    yield "bool element under _sum", lambda s: fold_list(s, dirac(0), [True, 2]), fsum_algebra(0.1).step
+    # 0*e is 0.0 for a float e: every value becomes a float
+    yield "0*e of a float element", lambda s: fold_list(s, dirac(0), [1.5, 2]), _Choice(
+        ((0.5, partial(_pair_value, 0, 1, 2)), (0.5, _second)))
+    yield "fcat's _cons", lambda s: fold_list(s, dirac(""), "abc"), fcat_algebra(0.1, "abc").step
+    # 2**40 slots for four values
+    yield "huge addend", lambda s: for_loop(s, dirac(0), 3), fadd(0.1, 2**40).apply
+
+
+@pytest.mark.parametrize("label, run, step", list(_shift_fallbacks()), ids=lambda x: x if isinstance(x, str) else "")
+def test_what_the_dense_kernel_cannot_hold_takes_the_dict_path_unchanged(label, run, step):
+    with _counted_shift_layers() as ran:
+        outcome = _outcome(lambda: run(step))
+    assert ran["layers"] == 0
+    assert outcome == _outcome(lambda: run(_opaque(step)))
