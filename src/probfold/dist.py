@@ -350,8 +350,9 @@ class _Choice(_Step):
         return [(x, w) for x, w in merged.items() if w >= PRUNE_EPS]
 
     def after(self, g: Callable[[Any], Any]) -> "_Choice":
-        """This choice after the sharp function ``g``: still a choice."""
-        return _Choice((w, lambda v, f=f: f(g(v))) for w, f in self)
+        """This choice after the sharp function ``g``: still a choice, of the
+        same weights, which are not checked again."""
+        return tuple.__new__(_Choice, ((w, lambda v, f=f: f(g(v))) for w, f in self))
 
 
 def _identity(y):

@@ -21,8 +21,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Range, UNIT
-from .dist import (_INT64, PROPER_TOL, PRUNE_EPS, Dist, DomainError, _affine_choice, _after, _as_step, _check_total,
-                   _Masses, _Pair, _paired, bind, choice, dirac, marginals, pair, tv_distance)
+from .dist import (_INT64, PROPER_TOL, PRUNE_EPS, Dist, DomainError, _affine_choice, _as_step, _check_total,
+                   _Masses, _Pair, _paired, _Step, bind, choice, dirac, marginals, pair, tv_distance)
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
     Matrix,
@@ -69,8 +69,9 @@ def _last(folds: Iterator) -> Any:
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
     ``value``, innermost first, starting from ``base``. A for-loop of paired
-    affine choices over int pairs (``_tupled_affine``) and a fold of int shifts
-    (``_shifted``) run on arrays, with the same result. No Dist is false."""
+    affine choices over int pairs (``_tupled_affine``) and a fold of shifts of
+    an int, or of each component of an int pair under a banana-split step
+    (``_shifted``), run on arrays, with the same result. No Dist is false."""
     step = _as_step(step)  # once, not once per layer
     folded = _tupled_affine(step, base, functor._count(value)) if isinstance(functor, ForLoopF) else None
     return folded or _shifted(functor, step, base, value) or _last(_folds(functor.layers(step, value), base))
@@ -119,8 +120,10 @@ def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     """Evaluate the catamorphism of ``alg`` on one initial-algebra value.
 
     A for-loop over int pairs whose step pairs two choices of affine branches
-    (a tupled square program) runs on arrays; the result is the same, bit for
-    bit."""
+    (a tupled square program) runs on arrays, and so does a fold whose every
+    branch shifts an int (``fcount``, ``fsum``) or whose banana-split step
+    shifts each component of an int pair (``favg_split``); the result is the
+    same, bit for bit."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
     return _fold(functor, alg.step, alg.base, value)
@@ -245,20 +248,35 @@ def unzip(functor: FunctorDesc, b: Dim, c: Dim) -> Matrix:
     return khatri(functor.on_matrix(fst_matrix(b, c)), functor.on_matrix(snd_matrix(b, c)))
 
 
+class _Split(_Pair):
+    """The step of ``banana_split`` over ``functor``: the ``_Pair`` of
+    ``left`` after F fst and ``right`` after F snd, which ``bind`` expands as
+    any pair, followed by the functor and the two factor steps themselves
+    (``step[2:]``), kept as data so the dense fold kernel reads their
+    branches (``_shifts``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, functor: FunctorDesc, left: Callable[[Any], Dist], right: Callable[[Any], Dist]):
+        left, right = _as_step(left), _as_step(right)
+        return tuple.__new__(cls, (left.after(partial(functor.on_value, _fst)),
+                                   right.after(partial(functor.on_value, _snd)), functor, left, right))
+
+
 def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebra:
     """Fuse two folds over the same input into one fold on pairs.
 
     Valid unconditionally (no sharpness needed): the combined step unzips
     its input, feeding f's component and g's component independently, which
-    is exactly the kron-after-unzip algebra on the product carrier. Two
-    choice steps combine into a step that ``bind`` still expands.
+    is exactly the kron-after-unzip algebra on the product carrier. The
+    combined step keeps both factor steps as data: two choice steps combine
+    into a step that ``bind`` still expands, and two choices of int shifts
+    (``favg_split``'s sum and count) into a fold that runs on one dense mass
+    array over int pairs, with the same result bit for bit.
     """
     if alg_f.functor != functor or alg_g.functor != functor:
         raise DomainError("banana_split needs both algebras over the given functor")
-
-    step = _paired(_after(alg_f.step, partial(functor.on_value, _fst)),
-                   _after(alg_g.step, partial(functor.on_value, _snd)))
-    return Algebra(functor, pair(alg_f.base, alg_g.base), step)
+    return Algebra(functor, pair(alg_f.base, alg_g.base), _Split(functor, alg_f.step, alg_g.step))
 
 
 def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tuple[Dist, Dist]:
@@ -294,8 +312,9 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
 
 
 # an array layer sums the masses per value over the span of the values when
-# it has at most this many slots per move (a fold of shifts, per value): one
-# bincount over the offsets, 40 times faster than sorting 20,000 moves
+# it has at most this many slots per move (a fold of shifts: per value it
+# surely reaches): one bincount over the offsets, 40 times faster than sorting
+# 20,000 moves
 _DENSE_SPAN = 8
 
 
@@ -415,53 +434,121 @@ def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | No
     return _dist(state)
 
 
-def _shifts(functor: FunctorDesc, step: Callable[[Any], Dist], value: Any) -> tuple[list, int] | None:
-    """A fold's layers when every branch shifts an int y to y + c, innermost
-    first, as (layers, times): each layer, the (c, w) ``_Choice.outcomes`` gives
-    at y = 0 in descending c, runs ``times`` times. A for-loop's branches are
-    (1, c); a list fold's (a, 1, c) shift by a*e + c at an element e, an int
-    unless every branch is a named one with a = 0 (``_pair_value`` takes 0*e).
-    None for any other fold, and for one with no layers."""
+def _shifts(functor: FunctorDesc, step: _Step, value: Any) -> tuple[list, int] | None:
+    """A fold's layers when every branch shifts an int component of the state,
+    innermost first, as (layers, times): each layer, the (c, w) the step's
+    ``outcomes`` gives at the zero state in descending c, runs ``times`` times.
+    The state is an int, or an int pair for a banana-split step (``_Split``)
+    whose two factors each shift their own component, c then being a pair.
+    A for-loop's branches are (1, c); a list fold's (a, 1, c) shift by
+    a*e + c at an element e, an int unless every branch is a named one with
+    a = 0 (``_pair_value`` takes 0*e). None for any other fold, and for one
+    with no layers."""
     if not isinstance(functor, (ForLoopF, ListF)):
         return None
     list_fold = isinstance(functor, ListF)
     elements = functor._sequence(value)[::-1] if list_fold else ()
     n = len(elements) if list_fold else functor._count(value)
-    choice = _affine_choice(step, 1 + list_fold) if n else None
-    if choice is None or any(form[-2] != 1 for form in choice[1]):
+    factors, zero = (step[3:], (0, 0)) if type(step) is _Split and step[2] == functor else ((step,), 0)
+    choices = [_affine_choice(factor, 1 + list_fold) for factor in factors] if n else [None]
+    if None in choices:
         return None
-    step, forms = _as_step(step), choice[1]
+    branches = [(form, f) for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)]
+    if any(form[-2] != 1 for form, _ in branches):
+        return None
     layer = lambda state: sorted(step.outcomes(state), reverse=True)
     if not list_fold:
-        return [layer(0)], n
+        return [layer(zero)], n
     if not all(type(e) is int for e in elements):
-        if any(a or type(f) is partial for (a, _, _), (_, f) in zip(forms, step)):
+        if any(form[0] or type(f) is partial for form, f in branches):
             return None
-    elif any(a for a, _, _ in forms):
-        return [layer((e, 0)) for e in elements], 1
-    return [layer((elements[0], 0))], n
+    elif any(form[0] for form, _ in branches):
+        return [layer((e, zero)) for e in elements], 1
+    return [layer((elements[0], zero))], n
 
 
-def _shifted(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist | None:
-    """The fold on one float64 array of masses at values lo, lo + 1, ..., when
-    every branch shifts an int (``_shifts``), the base holds ints and the final
-    span has at most ``_DENSE_SPAN`` slots per value it surely reaches (as
-    |A + B| >= |A| + |B| - 1 for sets of ints); None for any other fold."""
+def _shifted(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist | None:
+    """The fold on one float64 array of masses at slots lo, lo + 1, ..., when
+    every branch shifts an int component of the state (``_shifts``), the base
+    holds ints (int pairs for a banana-split step, whose values and shifts
+    ``_slots`` numbers) and the array has at most ``_DENSE_SPAN`` slots per
+    value the fold surely reaches; None for any other fold. The array is at
+    most the span of the base's slots plus each layer's span of offsets long;
+    ``_slots`` bounds the values reached from below, on one axis by
+    |base| + sum_t (|S_t| - 1), S_t layer t's shifts."""
     shifts = _shifts(functor, step, value)
-    if shifts is None or not all(type(v) is int for v in base._mass):
+    if shifts is None:
         return None
-    (layers, times), lo, hi = shifts, min(base._mass), max(base._mass)
-    span = hi - lo + 1 + times * sum(layer[0][0] - layer[-1][0] for layer in layers)
-    if span > _DENSE_SPAN * (len(base) + times * sum(len(layer) - 1 for layer in layers)):
+    layers, times = shifts
+    if type(step) is _Split:
+        slots = _slots(base, layers, times)
+        if slots is None:
+            return None
+        values, layers, reach, decode = slots
+    elif all(type(v) is int for v in base._mass):
+        values, reach, decode = list(base._mass), len(base) + times * sum(len(layer) - 1 for layer in layers), None
+    else:
+        return None
+    lo, hi = min(values), max(values)
+    if hi - lo + 1 + times * sum(layer[0][0] - layer[-1][0] for layer in layers) > _DENSE_SPAN * reach:
         return None
     masses = np.zeros(hi - lo + 1)
-    masses[[v - lo for v in base._mass]] = list(base._mass.values())
+    masses[[v - lo for v in values]] = list(base._mass.values())
     for layer in layers:
         weights = np.array([w for _, w in layer])[:, None]
         for _ in range(times):
             masses, lo = _shift_layer(masses, lo, layer, weights)
     kept = masses.nonzero()[0]
-    return Dist(_Masses(zip([lo + i for i in kept.tolist()], masses[kept].tolist())))
+    values = [lo + i for i in kept.tolist()] if decode is None else decode(lo, kept)
+    return Dist(_Masses(zip(values, masses[kept].tolist())))
+
+
+def _slots(base: Dist, layers: list, times: int) -> tuple[list, list, int, Callable] | None:
+    """A fold of shifts over tuples of ints as one over the slots of a single
+    axis, which ``_shifted`` runs: the base's slots, each layer's (offset, w)
+    in descending offset, the number of values the fold surely reaches, and
+    the function from the final array's first slot and nonzero positions to
+    their tuples. None unless the base holds tuples of ints and each layer's
+    shifts are all combinations of its shifts on each axis (not so where
+    ``_Pair`` pruned a light product).
+
+    The array is the N-d one in row-major order, each axis as long as its
+    final span: the tuple v sits at sum_i (v_i - o_i)*k_i for the strides k,
+    where the origin o moves by each layer's least shift on each axis, so
+    v_i - o_i stays within axis i's span and no row overflows into the next.
+    Descending tuples then give descending offsets, and every slot's sum is
+    ``bind``'s.
+
+    The fold reaches R = B + S_1 + ... + S_n, B the base's values and S_t
+    layer t's shifts. For finite sets of int vectors |X + Y| >= |X| + |Y| - 1:
+    adding a vector keeps lexicographic order, so x_1 + y_1 < ... <
+    x_1 + y_m < x_2 + y_m < ... < x_k + y_m are distinct. A sum of products
+    of sets is the product of the sums on each axis, so |R| >= |B| - 1 +
+    prod_i (1 + sum_t (|S_t^i| - 1)), S_t^i layer t's shifts on axis i."""
+    axes = len(layers[0][0][0])
+    if not all(type(v) is tuple and len(v) == axes and all(type(x) is int for x in v) for v in base._mass):
+        return None
+    columns = list(zip(*base._mass))
+    origin = [min(column) for column in columns]
+    spans = [max(column) - o + 1 for column, o in zip(columns, origin)]
+    reach, least = [1] * axes, []
+    for layer in layers:
+        moves = list(zip(*(c for c, _ in layer)))
+        distinct = [len(set(move)) for move in moves]
+        if math.prod(distinct) != len(layer):
+            return None
+        for i, move in enumerate(moves):
+            spans[i] += times * (max(move) - min(move))
+            reach[i] += times * (distinct[i] - 1)
+        least.append([min(move) for move in moves])
+    strides = [math.prod(spans[i + 1:]) for i in range(axes)]
+    slot = lambda v, o: sum((x - y) * k for x, y, k in zip(v, o, strides))
+    values = [slot(v, origin) for v in base._mass]
+    layers = [[(slot(c, low), w) for c, w in layer] for layer, low in zip(layers, least)]
+    origin = [o + times * sum(low[i] for low in least) for i, o in enumerate(origin)]
+    decode = lambda lo, kept: list(zip(*([o + i for i in axis.tolist()]
+                                         for o, axis in zip(origin, np.unravel_index(kept + lo, spans)))))
+    return values, layers, len(base) - 1 + math.prod(reach), decode
 
 
 def _shift_layer(masses: np.ndarray, lo: int, layer: list, weights: np.ndarray) -> tuple[np.ndarray, int]:

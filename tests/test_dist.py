@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probfold.dims import Range
+from probfold import dist as dist_module
 from probfold.dist import (
+    PROPER_TOL,
     Dist,
     DistributionError,
     DomainError,
@@ -474,6 +476,21 @@ def test_choice_weights_are_read_once():
     step = _Choice(((Weight(0.25), _same), (Weight(0.75), _plus2)))
     bind(Dist({v: 0.1 for v in range(10)}), step)
     assert len(reads) == 2
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.99 * PROPER_TOL, -0.99 * PROPER_TOL])
+def test_a_choice_after_a_function_keeps_its_checked_weights(drift, monkeypatch):
+    step = _Choice(((0.3, _same), (0.2, _zero), (0.5 + drift, _plus2)))
+    g = lambda v: 3 * v - 1
+    totals, fsum = [], math.fsum
+    monkeypatch.setattr(dist_module.math, "fsum", lambda xs: totals.append(xs) or fsum(xs))
+    composed = step.after(g)
+    assert totals == []  # the weights are not checked again
+    assert type(composed) is _Choice
+    assert [w for w, _ in composed] == [w for w, _ in step]
+    assert all(a is b for (a, _), (b, _) in zip(composed, step))
+    for v in range(-3, 4):
+        assert composed.outcomes(v) == step.outcomes(g(v))
 
 
 @pytest.mark.parametrize("shape", ["two branches", "one branch", "a pair"])

@@ -13,15 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probfold import schemes
-from probfold.cases import (fadd, fadd_combined, fadd_zero, favg_pair, fcat_algebra, fcount, fsum, fsum_algebra, ftwice,
-                            msq, msq_prime, msql, pipeline_consolidated, sq_algebras, sq_prime_algebras)
+from probfold.cases import (fadd, fadd_combined, fadd_zero, favg_pair, favg_split, fcat_algebra, fcount,
+                            fcount_algebra, fsum, fsum_algebra, ftwice, msq, msq_prime, msql, pipeline_consolidated,
+                            sq_algebras, sq_prime_algebras)
 from probfold.dist import _affine as _pair_affine
 from probfold.dist import (PROPER_TOL, PRUNE_EPS, Dist, DistributionError, _Choice, _identity, _pair_value, _paired,
                            _plus_one, _plus_two, _Plain, _second, _sum, dirac, pair)
-from probfold.functors import ForLoopF
-from probfold.schemes import Algebra, cata_eval, fold_list, for_loop, mutual_eval
+from probfold.functors import ForLoopF, ListF
+from probfold.schemes import Algebra, banana_split, cata_eval, fold_list, for_loop, mutual_eval
 
-_FOR = ForLoopF()
+_FOR, _LIST = ForLoopF(), ListF()
 _NAMED = (_second, _sum, _plus_one, _plus_two)
 
 
@@ -53,8 +54,16 @@ def _outcome(run) -> str:
 
 
 def _opaque(step: _Choice) -> _Choice:
-    """The same choice with every branch behind a plain lambda: the dict path."""
+    """The same choice with every branch behind a plain lambda: the dict path.
+    A banana-split step gets opaque factors."""
+    if type(step) is schemes._Split:
+        return schemes._Split(step[2], _opaque(step[3]), _opaque(step[4]))
     return _Choice((w, lambda s, f=f: f(s)) for w, f in step)
+
+
+def _split(functor, left, right):
+    """The banana-split step of two steps."""
+    return banana_split(functor, Algebra(functor, dirac(0), left), Algebra(functor, dirac(0), right)).step
 
 
 def test_pair_state_branches_record_their_forms_and_read_sets():
@@ -101,7 +110,7 @@ def _loop_count(n: int, folds, size) -> int:
     """``n``, or the first loop count of ``folds`` whose state passes _CAP entries."""
     try:
         return next((t for t, state in enumerate(folds) if size(state) > _CAP), n)
-    except DistributionError:
+    except (DistributionError, TypeError):  # the fold fails before it grows that large
         return n
 
 
@@ -305,7 +314,10 @@ def test_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fo
 def test_the_shift_cases_run_every_layer_on_the_dense_array():
     runs = {"ftwice": (partial(ftwice, 0.1, 7), 7), "fcount": (partial(fcount, 0.1, "abcde"), 5),
             "pipeline_consolidated": (partial(pipeline_consolidated, 0.1, 0.2, "abc"), 3),
-            "fsum": (partial(fsum, 0.1, [1, 2, 3]), 3), "favg_pair": (partial(favg_pair, 0.1, 0.2, [1, 2]), 4)}
+            "fsum": (partial(fsum, 0.1, [1, 2, 3]), 3), "favg_pair": (partial(favg_pair, 0.1, 0.2, [1, 2]), 4),
+            "favg_split": (partial(favg_split, 0.1, 0.2, [1, 2]), 2),
+            # the sum of these 14 ints spans 83 slots by 15 counts
+            "favg_split, 14 ints": (partial(favg_split, 0.12, 0.13, [8, 8, 8, 7, 7, 5, 8, 7, 5, 6, 4, 1, 5, 3]), 14)}
     for name, (run, layers) in runs.items():
         with _counted_shift_layers() as ran:
             run()
@@ -331,6 +343,15 @@ def _shift_fallbacks():
     yield "fcat's _cons", lambda s: fold_list(s, dirac(""), "abc"), fcat_algebra(0.1, "abc").step
     # 2**40 slots for four values
     yield "huge addend", lambda s: for_loop(s, dirac(0), 3), fadd(0.1, 2**40).apply
+    sum_count = _split(_LIST, fsum_algebra(0.1).step, fcount_algebra(0.2).step)
+    yield "split: float element", lambda s: fold_list(s, dirac((0, 0)), [1.5, 2, 3]), sum_count
+    yield "split: bool base", lambda s: fold_list(s, dirac((True, 0)), [1, 2]), sum_count
+    yield "split: zero branch in one factor", lambda s: for_loop(s, dirac((3, 1)), 4), _split(
+        _FOR, fadd(0.1, 2).apply, fadd_zero(0.1, 1).apply)
+    yield "split: huge addend", lambda s: fold_list(s, dirac((0, 0)), [2**40, 1, 2]), sum_count
+    # 2*PRUNE_EPS * 0.4 drops and 2*PRUNE_EPS * 0.6 stays: three of four shifts
+    yield "split: light product pruned", lambda s: for_loop(s, dirac((0, 0)), 3), _split(
+        _FOR, _Choice(((2 * PRUNE_EPS, partial(operator.add, 1)), (1 - 2 * PRUNE_EPS, _identity))), fadd(0.4, 1).apply)
 
 
 @pytest.mark.parametrize("label, run, step", list(_shift_fallbacks()), ids=lambda x: x if isinstance(x, str) else "")
@@ -339,3 +360,76 @@ def test_what_the_dense_kernel_cannot_hold_takes_the_dict_path_unchanged(label, 
         outcome = _outcome(lambda: run(step))
     assert ran["layers"] == 0
     assert outcome == _outcome(lambda: run(_opaque(step)))
+
+
+# --- banana-split folds of shifts over int pairs on the dense array ----------
+
+@st.composite
+def _pair_bases(draw):
+    """A base over int pairs, each component within 8 of an anchor: 0, -7 or 10**30."""
+    anchors = [draw(st.sampled_from([0, -7, 10**30])) for _ in range(2)]
+    return draw(_dists(st.tuples(*(st.integers(a, a + 7) for a in anchors))))
+
+
+def _fits(step, states, times: int, base: Dist) -> bool:
+    """Whether the dense kernel must take a banana-split fold of shifts whose
+    layers are the step's outcomes at ``states``, each run ``times`` times:
+    each layer's shifts are all combinations of its shifts on each axis, and
+    the axes span at most 8 slots per value the fold surely reaches,
+    |base| - 1 + prod_i (1 + sum_t (|S_t^i| - 1))."""
+    layers = [{c for c, _ in step.outcomes(state)} for state in states]
+    axes = [[{c[i] for c in layer} for layer in layers] for i in (0, 1)]
+    if any(len(layer) != len(a) * len(b) for layer, a, b in zip(layers, *axes)):
+        return False
+    spans = [max(v[i] for v in base.support) - min(v[i] for v in base.support) + 1
+             + times * sum(max(s) - min(s) for s in axes[i]) for i in (0, 1)]
+    reach = len(base) - 1 + math.prod(1 + times * sum(len(s) - 1 for s in axes[i]) for i in (0, 1))
+    return spans[0] * spans[1] <= 8 * reach
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(left=_shift_choices(_ADDS), right=_shift_choices(_ADDS), base=_pair_bases(), n=st.integers(0, 12))
+def test_split_for_loops_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(left, right, base, n):
+    step = _split(_FOR, left, right)
+    n = _loop_count(n, schemes._folds(itertools.repeat(_opaque(step), n), base), len)
+    with _counted_shift_layers() as ran:
+        reference = _outcome(lambda: for_loop(_opaque(step), base, n))
+        assert ran["layers"] == 0
+        outcome = _outcome(lambda: for_loop(step, base, n))
+    assert outcome == reference
+    _check_shift_layers(ran["layers"], outcome, n, _fits(step, [(0, 0)], n, base))
+
+
+@st.composite
+def _split_list_folds(draw):
+    """Two factor steps of shifts and an input of ints or letters."""
+    xs = draw(st.one_of(st.lists(st.integers(-3, 5), min_size=1, max_size=8), st.text("abc", min_size=1, max_size=8)))
+    branches = _LETTER_BRANCHES if isinstance(xs, str) else _LIST_BRANCHES
+    return _split(_LIST, draw(_shift_choices(branches)), draw(_shift_choices(branches))), xs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fold=_split_list_folds(), base=_pair_bases())
+def test_split_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fold, base):
+    step, xs = fold
+    kept = _loop_count(len(xs), schemes._folds(_LIST.layers(_opaque(step), xs), base), len)
+    xs = xs[len(xs) - kept:]  # the innermost elements, folded first
+    with _counted_shift_layers() as ran:
+        reference = _outcome(lambda: fold_list(_opaque(step), base, xs))
+        assert ran["layers"] == 0
+        outcome = _outcome(lambda: fold_list(step, base, xs))
+    assert outcome == reference
+    named = not any(type(f) is partial or _pair_affine(f)[0] for factor in step[3:] for _, f in factor)
+    taken = (named or not isinstance(xs, str)) and _fits(step, [(e, (0, 0)) for e in xs], 1, base)
+    _check_shift_layers(ran["layers"], outcome, len(xs), taken)
+
+
+def test_a_split_step_keeps_its_outcomes_and_its_factors():
+    left, right = fsum_algebra(0.1).step, fcount_algebra(0.2).step
+    step = _split(_LIST, left, right)
+    assert step[3:] == (left, right)
+    for state in [(3, (0, 0)), (-2, (5, 7))]:
+        e, (t, c) = state
+        assert step(state) == pair(left((e, t)), right((e, c)))
+        assert step.outcomes(state) == [((b, d), mb * mc) for b, mb in left.outcomes((e, t))
+                                        for d, mc in right.outcomes((e, c))]
