@@ -451,18 +451,16 @@ def _shifts(functor: FunctorDesc, step: _Step, value: Any) -> tuple[list, int] |
     n = len(elements) if list_fold else functor._count(value)
     factors, zero = (step[3:], (0, 0)) if type(step) is _Split and step[2] == functor else ((step,), 0)
     choices = [_affine_choice(factor, 1 + list_fold) for factor in factors] if n else [None]
-    if None in choices:
-        return None
-    branches = [(form, f) for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)]
-    if any(form[-2] != 1 for form, _ in branches):
+    if None in choices or any(form[-2] != 1 for _, forms in choices for form in forms):
         return None
     layer = lambda state: sorted(step.outcomes(state), reverse=True)
     if not list_fold:
         return [layer(zero)], n
     if not all(type(e) is int for e in elements):
-        if any(form[0] or type(f) is partial for form, f in branches):
+        if any(form[0] or type(f) is partial
+               for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)):
             return None
-    elif any(form[0] for form, _ in branches):
+    elif any(form[0] for _, forms in choices for form in forms):
         return [layer((e, zero)) for e in elements], 1
     return [layer((elements[0], zero))], n
 
@@ -486,7 +484,7 @@ def _shifted(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist 
             return None
         values, layers, reach, decode = slots
     elif all(type(v) is int for v in base._mass):
-        values, reach, decode = list(base._mass), len(base) + times * sum(len(layer) - 1 for layer in layers), None
+        values, reach, decode = base._mass, len(base) + times * sum(len(layer) - 1 for layer in layers), None
     else:
         return None
     lo, hi = min(values), max(values)
