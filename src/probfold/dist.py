@@ -67,6 +67,7 @@ def support_key(value: Any):
 
 
 _NUMBERS = frozenset((int, float))
+_SCALARS = _NUMBERS | {str}  # the kinds ``support_key`` takes without a check of their own
 
 
 def _sorted_support(values: dict) -> list:
@@ -137,6 +138,26 @@ class Dist:
                 for v in merged:
                     if not _alike(keys[v], v):
                         raise DomainError(f"support values {keys[v]!r} and {v!r} are equal, but a bool is not a number")
+        # one or two values, none pruned and a proper total: the general tail's
+        # result in constant time (m + n is fsum's total of two floats)
+        if len(acc) == 1:
+            (v, m), = acc.items()
+            if m >= PRUNE_EPS and abs(m - 1.0) <= PROPER_TOL:
+                if type(v) not in _SCALARS:
+                    support_key(v)  # an unorderable value is a DomainError, as in the sort
+                self._mass = {v: m}
+                return
+        elif len(acc) == 2:
+            (v, m), (w, n) = acc.items()
+            if m >= PRUNE_EPS and n >= PRUNE_EPS and abs(m + n - 1.0) <= PROPER_TOL:
+                tv, tw = type(v), type(w)
+                if tv in _NUMBERS and tw in _NUMBERS or tv is tw is str:
+                    swap = w < v
+                else:
+                    kv = support_key(v)  # v's key first, as the sort takes them
+                    swap = support_key(w) < kv
+                self._mass = {w: n, v: m} if swap else {v: m, w: n}
+                return
         acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
         _check_total(acc.values())
         self._mass = {v: acc[v] for v in _sorted_support(acc)}

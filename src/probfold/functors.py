@@ -121,7 +121,8 @@ class ListF(FunctorDesc):
         return oplus(identity(UNIT), kron(identity(self._need_alphabet()), m))
 
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
-        return [_after(step, lambda s, a=a: (a, s)) for a in reversed(self._sequence(value))]
+        # a generator: a fold that resumes past folded sub-inputs builds only the rest
+        return (_after(step, lambda s, a=a: (a, s)) for a in reversed(self._sequence(value)))
 
     def _sub_inputs(self, value: Any) -> Sequence:
         seq = self._sequence(value)

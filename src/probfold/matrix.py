@@ -206,9 +206,11 @@ def oplus(m: Matrix, n: Matrix) -> Matrix:
 
 
 def kron(m: Matrix, n: Matrix) -> Matrix:
-    """Kronecker product: entry((y,x),(b,a)) = m(y,b) * n(x,a)."""
-    return Matrix(Product(m.col_dim, n.col_dim), Product(m.row_dim, n.row_dim),
-                  _computed(np.kron(m.data, n.data)))
+    """Kronecker product: entry((y,x),(b,a)) = m(y,b) * n(x,a). One broadcast
+    multiply, as ``np.kron`` does after its four ``expand_dims``."""
+    (b, a), (c, d) = m.shape, n.shape
+    data = (m.data[:, None, :, None] * n.data[None, :, None, :]).reshape(b * c, a * d)
+    return Matrix(Product(m.col_dim, n.col_dim), Product(m.row_dim, n.row_dim), _computed(data))
 
 
 def khatri(m: Matrix, n: Matrix) -> Matrix:

@@ -5,13 +5,14 @@ import operator
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probfold.dims import Range
 from probfold import dist as dist_module
 from probfold.dist import (
     PROPER_TOL,
+    PRUNE_EPS,
     Dist,
     DistributionError,
     DomainError,
@@ -29,14 +30,17 @@ from probfold.dist import (
     support_key,
     tv_distance,
     _Choice,
+    _Masses,
     _affine,
     _affine_choice,
+    _check_total,
     _identity,
     _pair_value,
     _paired,
     _plus_one,
     _plus_two,
     _second,
+    _sorted_support,
     _sum,
     _zero,
 )
@@ -322,6 +326,89 @@ def test_support_is_in_support_key_order(vs):
         return
     assert not clash
     assert list(d.support) == sorted(d.support, key=support_key)
+
+
+# --- one and two values: the constructor's constant-time tail ---------------
+
+def _general_tail(acc):
+    """The constructor's tail for a support of any size: prune, check the total, sort."""
+    acc = {v: m for v, m in acc.items() if m >= PRUNE_EPS}
+    _check_total(acc.values())
+    return tuple((v, acc[v]) for v in _sorted_support(acc))
+
+
+def _edge_total(sign):
+    """The float furthest from 1 on ``sign``'s side whose total still passes."""
+    t = 1.0 + sign * PROPER_TOL
+    while abs(t - 1.0) > PROPER_TOL:
+        t = math.nextafter(t, 1.0)
+    while abs(math.nextafter(t, sign * 2.0) - 1.0) <= PROPER_TOL:
+        t = math.nextafter(t, sign * 2.0)
+    return t
+
+
+_HI, _LO = _edge_total(1), _edge_total(-1)
+# totals that pass at exactly the tolerance, and one ulp past it on each side
+_TOTALS = (1.0, _HI, _LO, math.nextafter(_HI, 2.0), math.nextafter(_LO, 0.0))
+
+
+def _tail_values():
+    numbers = st.integers(-3, 3) | st.floats() | st.sampled_from([math.nan, -0.0, 0.0])
+    leaf = numbers | st.booleans() | st.text("ab", max_size=2)
+    unorderable = st.builds(object) | st.builds(lambda x: (x, object()), numbers)
+    return st.one_of(leaf, st.tuples(numbers, numbers),
+                     st.recursive(leaf, lambda inner: st.tuples(inner, inner), max_leaves=4), unorderable)
+
+
+@st.composite
+def _tail_supports(draw):
+    """One or two (value, mass) entries: masses of 0 and below PRUNE_EPS, and
+    totals at and one ulp past 1 +- PROPER_TOL (0.5 + (t - 0.5) is t exactly)."""
+    light = st.sampled_from([0.0, 1e-16, math.nextafter(PRUNE_EPS, 0.0), PRUNE_EPS])
+    v = draw(_tail_values())
+    if draw(st.booleans()):
+        return [(v, draw(light | st.sampled_from(_TOTALS) | st.floats(0.0, 2.0)))]
+    m = draw(light | st.just(0.5) | st.floats(0.0, 1.0))
+    n = draw(st.sampled_from(_TOTALS).map(lambda t: max(0.0, t - m)) | light | st.floats(0.0, 1.0))
+    return [(v, m), (draw(_tail_values()), n)]
+
+
+def _outcome(make):
+    try:
+        return repr(make())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_THING, _OTHER = object(), object()
+
+
+@given(_tail_supports())
+@example([(1, 0.5), ("a", 0.5)]).via("int/str")
+@example([("a", 0.5), (1, 0.5)]).via("str/int")
+@example([(2, 0.5), (False, 0.5)]).via("int/bool")
+@example([(True, 0.25), (0, 0.75)]).via("bool/int")
+@example([("b", 0.5), ((1,), 0.5)]).via("str/tuple")
+@example([((1, (2.5, "a")), 0.5), ((1, (2, 3)), 0.5)]).via("nested tuples")
+@example([(math.nan, 0.5), (1.0, 0.5)]).via("nan first")
+@example([(1.0, 0.5), (math.nan, 0.5)]).via("nan second")
+@example([(-0.0, 1.0)]).via("negative zero")
+@example([(_THING, 1.0)]).via("unorderable")
+@example([((1, _THING), 0.5), (_OTHER, 0.5)]).via("two unorderable")
+@example([(_THING, 0.5)]).via("unorderable, total off")
+@example([(0, 0.5), (1, _HI - 0.5)]).via("total at 1 + tol")
+@example([(0, 0.5), (1, math.nextafter(_HI, 2.0) - 0.5)]).via("total one ulp past 1 + tol")
+@example([(0, 0.5), (1, _LO - 0.5)]).via("total at 1 - tol")
+@example([(0, 0.5), (1, math.nextafter(_LO, 0.0) - 0.5)]).via("total one ulp past 1 - tol")
+@example([(0, 1.0), (1, 1e-16)]).via("one mass pruned")
+@example([(0, 1.0), (1, 0.0)]).via("one mass zero")
+def test_one_and_two_value_supports_match_the_general_tail(entries):
+    # the same floats, support order, error type and text as the general tail
+    # through both inputs: the checked list and the trusted accumulator
+    acc = dict(entries)
+    expected = _outcome(lambda: _general_tail(acc))
+    assert _outcome(lambda: Dist(list(acc.items())).items()) == expected
+    assert _outcome(lambda: Dist(_Masses(acc)).items()) == expected
 
 
 def _bits(d):

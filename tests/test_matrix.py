@@ -302,6 +302,13 @@ def test_kron_identity_and_vectors():
     u = Matrix(UNIT, Range(2), [[0.3], [0.7]])
     v = Matrix(UNIT, Range(2), [[0.5], [0.5]])
     assert np.array_equal(khatri(u, v).data, kron(u, v).data)
+    # the broadcast multiply is np.kron's own, byte for byte and in its layout
+    rng = np.random.default_rng(5)
+    for a, b, c, d in np.ndindex(4, 4, 4, 4):
+        m = Matrix(Range(a + 1), Range(b + 1), rng.random((b + 1, a + 1)))
+        n = Matrix(Range(d + 1), Range(c + 1), rng.random((c + 1, d + 1)))
+        got, want = kron(m, n).data, np.kron(m.data, n.data)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def test_khatri_counterexample_first_column():

@@ -712,6 +712,14 @@ def test_tupling_checks_repeated_unsorted_inputs_as_one_at_a_time():
         tupled_from_mutual(_FOR, *sq_algebras(0.1), test_inputs=(3, -1))
 
 
+def test_list_layers_are_built_lazily_but_check_their_input_when_asked():
+    step = fcount_algebra(0.1).step
+    with pytest.raises(DomainError, match="^input 5 is not a sequence$"):
+        _LIST.layers(step, 5)
+    layers = _LIST.layers(step, "abc")
+    assert iter(layers) is layers and len(list(layers)) == 3
+
+
 # --- pairing any two continuations is a step ---------------------------------------------
 
 def _light(s):
