@@ -497,11 +497,6 @@ def _as_step(k: Callable[[Any], Dist]) -> _Step:
     return inner if isinstance(inner, _Step) else _Plain(k)
 
 
-def _after(k: Callable[[Any], Dist], g: Callable[[Any], Any]) -> _Step:
-    """The continuation ``k`` after the sharp function ``g``, as a step."""
-    return _as_step(k).after(g)
-
-
 def _paired(f: Callable[[Any], Dist], g: Callable[[Any], Dist]) -> _Pair:
     """The step v -> pair(f(v), g(v)), for any two continuations."""
     return _Pair(_as_step(f), _as_step(g))

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Sequence
 
 from .dims import Dim, Product, Sum, UNIT
-from .dist import DomainError, _after
+from .dist import DomainError, _as_step
 from .matrix import Matrix, identity, kron, oplus
 
 
@@ -122,7 +122,7 @@ class ListF(FunctorDesc):
 
     def layers(self, step: Callable, value: Any) -> Iterable[Callable]:
         # a generator: a fold that resumes past folded sub-inputs builds only the rest
-        return (_after(step, lambda s, a=a: (a, s)) for a in reversed(self._sequence(value)))
+        return (_as_step(step).after(lambda s, a=a: (a, s)) for a in reversed(self._sequence(value)))
 
     def _sub_inputs(self, value: Any) -> Sequence:
         seq = self._sequence(value)

@@ -59,12 +59,12 @@ from .schemes import (
     Algebra,
     _fold_each,
     _mutual_folds,
+    _tupled_checked,
     banana_split,
     base_choice_split,
     cata_eval,
     fold_fusion_check,
     matrix_cata_fixpoint,
-    tupled_from_mutual,
     unzip,
 )
 from . import reference
@@ -209,7 +209,7 @@ def _witness(parts: dict[str, Any] | str) -> str:
     return "\n".join(chunks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _list_dim(alphabet_size: int, max_len: int) -> EnumDim:
     """All tuples over range(alphabet_size) up to max_len, shortest first."""
     values = []
@@ -330,11 +330,10 @@ def _injective(combine: Callable[[Matrix, Matrix], Matrix], spec: str) -> _LawDe
 
 def _tupling(h: Algebra, k: Algebra, inputs) -> tuple[bool, float]:
     """Whether tupling h and k passes its side condition on 0..5, and the largest
-    TV distance over inputs between the paired mutual fold and the tupled fold;
-    both folds run once, to the largest input."""
-    tupled, report = tupled_from_mutual(_FOR, h, k, test_inputs=range(6))
-    last = max(inputs)
-    mutual, folds = list(_mutual_folds(_FOR, h, k, last)), _fold_each(tupled, range(last + 1))
+    TV distance over inputs (within 0..5) between the paired mutual fold and the
+    tupled fold; both folds run once, the tupled one by the side condition's check."""
+    _, report, folds = _tupled_checked(_FOR, h, k, range(6))
+    mutual = list(_mutual_folds(_FOR, h, k, max(inputs)))
     return report.holds, max(tv_distance(pair(*mutual[n]), folds[n]) for n in inputs)
 
 

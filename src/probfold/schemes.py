@@ -68,13 +68,13 @@ def _last(folds: Iterator) -> Any:
 
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
-    ``value``, innermost first, starting from ``base``. A for-loop of paired
-    affine choices over int pairs (``_tupled_affine``) and a fold of shifts of
-    an int, or of each component of an int pair under a banana-split step
-    (``_shifted``), run on arrays, with the same result. No Dist is false."""
+    ``value``, innermost first, starting from ``base``. A fold over int pairs
+    whose step pairs two choices of affine branches -- a tupled for-loop or a
+    banana-split fold (``_tupled_affine``) -- and a fold of shifts of an int
+    (``_shifted``) run on arrays, with the same result. No Dist is false."""
     step = _as_step(step)  # once, not once per layer
-    folded = _tupled_affine(step, base, functor._count(value)) if isinstance(functor, ForLoopF) else None
-    return folded or _shifted(functor, step, base, value) or _last(_folds(functor.layers(step, value), base))
+    return (_tupled_affine(functor, step, base, value) or _shifted(functor, step, base, value)
+            or _last(_folds(functor.layers(step, value), base)))
 
 
 def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
@@ -119,11 +119,11 @@ class Algebra:
 def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     """Evaluate the catamorphism of ``alg`` on one initial-algebra value.
 
-    A for-loop over int pairs whose step pairs two choices of affine branches
-    (a tupled square program) runs on arrays, and so does a fold whose every
-    branch shifts an int (``fcount``, ``fsum``) or whose banana-split step
-    shifts each component of an int pair (``favg_split``); the result is the
-    same, bit for bit."""
+    A fold over int pairs whose step pairs two choices of affine branches (a
+    tupled square program's for-loop, or a banana-split fold such as
+    ``favg_split``) runs on arrays, and so does a fold whose every branch
+    shifts an int (``fcount``, ``fsum``); the result is the same, bit for
+    bit."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
     return _fold(functor, alg.step, alg.base, value)
@@ -252,8 +252,8 @@ class _Split(_Pair):
     """The step of ``banana_split`` over ``functor``: the ``_Pair`` of
     ``left`` after F fst and ``right`` after F snd, which ``bind`` expands as
     any pair, followed by the functor and the two factor steps themselves
-    (``step[2:]``), kept as data so the dense fold kernel reads their
-    branches (``_shifts``)."""
+    (``step[2:]``), kept as data so the pair-state kernel reads their
+    branches (``_tupled_affine``)."""
 
     __slots__ = ()
 
@@ -270,9 +270,9 @@ def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebr
     its input, feeding f's component and g's component independently, which
     is exactly the kron-after-unzip algebra on the product carrier. The
     combined step keeps both factor steps as data: two choice steps combine
-    into a step that ``bind`` still expands, and two choices of int shifts
-    (``favg_split``'s sum and count) into a fold that runs on one dense mass
-    array over int pairs, with the same result bit for bit.
+    into a step that ``bind`` still expands, and two choices of affine
+    branches of ints (``favg_split``'s sum and count) into a fold that runs
+    on arrays over int pairs, with the same result bit for bit.
     """
     if alg_f.functor != functor or alg_g.functor != functor:
         raise DomainError("banana_split needs both algebras over the given functor")
@@ -318,18 +318,22 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
 _DENSE_SPAN = 8
 
 
-def _stays_int64(columns: tuple[tuple, tuple], choices: tuple, n: int) -> bool:
+def _stays_int64(columns: tuple[tuple, tuple], runs: list[tuple[tuple, int]]) -> bool:
     """Whether ``columns``, the values of the two components of the pair
-    states, are ints, never bools, and ``n`` layers of the two choices from
-    them stay in int64: ``matrix._value_bound``, layer by layer."""
+    states, are ints, never bools, and every layer of ``runs`` -- the two
+    choices of each run taken its number of times in turn -- stays in int64
+    from them: ``matrix._value_bound``, layer by layer."""
     if not all(type(x) is int for col in columns for x in col):
         return False
     bounds = [max(map(abs, col)) for col in columns]
-    for _ in range(n):
-        grown = [_value_bound(forms, bounds) for _, forms in choices]
-        if grown == bounds or not all(x in _INT64 for x in bounds):
-            break
-        bounds = grown
+    for choices, times in runs:
+        for _ in range(times):
+            if not all(x in _INT64 for x in bounds):
+                return False
+            grown = [_value_bound(forms, bounds) for _, forms in choices]
+            if grown == bounds:
+                break
+            bounds = grown
     return all(x in _INT64 for x in bounds)
 
 
@@ -408,9 +412,9 @@ def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray,
 def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
     """``mutual_eval`` of two for-loop algebras on arrays, when their steps
     are choices of affine branches, their bases hold ints and every value of
-    the ``n`` layers stays in int64; None for any other pair."""
+    the ``n`` layers stays in int64; None for any other pair, and for n = 0."""
     choices = _affine_choice(h.step, 2), _affine_choice(k.step, 2)
-    if None in choices or not _stays_int64((h.base.support, k.base.support), choices, n):
+    if not n or None in choices or not _stays_int64((h.base.support, k.base.support), [(choices, n)]):
         return None
     f, g = _arrays(h.base), _arrays(k.base)
     for _ in range(n):
@@ -418,135 +422,106 @@ def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
     return _dist(f), _dist(g)
 
 
-def _tupled_affine(step: Callable[[Any], Dist], base: Dist, n: int) -> Dist | None:
-    """The for-loop of ``step`` from ``base`` on arrays, when the step pairs
-    two choices of affine branches, the base holds int pairs and every value
-    of the ``n`` layers stays in int64; None for any other loop."""
-    step = _as_step(step)
-    choices = tuple(_affine_choice(s, 2) for s in step) if type(step) is _Pair else (None,)
+def _tupled_affine(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist | None:
+    """The fold of ``step`` from ``base`` on arrays, one ``_tupled_arrays``
+    layer per layer, when the step pairs two choices of affine branches of an
+    int pair state, the base holds int pairs and every value of the layers
+    stays in int64; None for any other fold, and for one with no layers. The
+    step is a for-loop's tupled ``_Pair``, whose branches read both
+    components, or a banana-split step (``_Split``) of the fold's own
+    functor, whose two factors each read their own component: a factor's form
+    (a, c) of y, or (a, b, c) of (e, y) at a list element e, enters on its
+    side as k*y + c' with (k, c') = (a, c) or (b, a*e + c), at the elements
+    ``_layer_runs`` gives."""
+    if type(step) is _Split and step[2] == functor:
+        read = _layer_runs(functor, step[3:], value)
+        if read is None:
+            return None
+        factors, elements = read
+
+        def placed(e: int) -> tuple:  # each factor's forms as pair-state forms on its own side
+            return tuple((weights, [((k, 0), (0, k))[side] + (sum(a) * e + c,) for *a, k, c in forms])
+                         for side, (weights, forms) in enumerate(factors))
+        runs = [(placed(e), times) for e, times in elements]
+    elif type(step) is _Pair and isinstance(functor, ForLoopF) and (n := functor._count(value)):
+        runs = [(tuple(_affine_choice(s, 2) for s in step), n)]
+    else:
+        return None
     pairs = base.support
-    if (None in choices or not all(type(v) is tuple and len(v) == 2 for v in pairs)
-            or not _stays_int64(tuple(zip(*pairs)), choices, n)):
+    if (any(None in choices for choices, _ in runs)
+            or not all(type(v) is tuple and len(v) == 2 for v in pairs) or not _stays_int64(tuple(zip(*pairs)), runs)):
         return None
     state = _arrays(base)
-    for _ in range(n):
-        state = _tupled_arrays(state, *choices)
+    for choices, times in runs:
+        for _ in range(times):
+            state = _tupled_arrays(state, *choices)
     return _dist(state)
 
 
-def _shifts(functor: FunctorDesc, step: _Step, value: Any) -> tuple[list, int] | None:
-    """A fold's layers when every branch shifts an int component of the state,
-    innermost first, as (layers, times): each layer, the (c, w) the step's
-    ``outcomes`` gives at the zero state in descending c, runs ``times`` times.
-    The state is an int, or an int pair for a banana-split step (``_Split``)
-    whose two factors each shift their own component, c then being a pair.
-    A for-loop's branches are (1, c); a list fold's (a, 1, c) shift by
-    a*e + c at an element e, an int unless every branch is a named one with
-    a = 0 (``_pair_value`` takes 0*e). None for any other fold, and for one
-    with no layers."""
+def _layer_runs(functor: FunctorDesc, factors: Sequence[_Step], value: Any) -> tuple[list, list] | None:
+    """The choices of a fold's ``factors``, each a choice of affine branches
+    of the state (a for-loop's) or of (element, state) (a list fold's), and
+    the elements the layers read them at, innermost first, as runs (e, times):
+    each element once where a branch reads it (a != 0 in a*e + b*y + c), else
+    0 for every layer. None for any other fold, for one with no layers, and
+    where an element is not an int and a branch reads it or is a partial
+    ``_pair_value``, which takes 0*e (0.0 at a float e)."""
     if not isinstance(functor, (ForLoopF, ListF)):
         return None
     list_fold = isinstance(functor, ListF)
     elements = functor._sequence(value)[::-1] if list_fold else ()
     n = len(elements) if list_fold else functor._count(value)
-    factors, zero = (step[3:], (0, 0)) if type(step) is _Split and step[2] == functor else ((step,), 0)
     choices = [_affine_choice(factor, 1 + list_fold) for factor in factors] if n else [None]
-    if None in choices or any(form[-2] != 1 for _, forms in choices for form in forms):
+    if None in choices:
         return None
-    layer = lambda state: sorted(step.outcomes(state), reverse=True)
-    if not list_fold:
-        return [layer(zero)], n
+    branches = [(form, f) for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)]
     if not all(type(e) is int for e in elements):
-        if any(form[0] or type(f) is partial
-               for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)):
+        if any(form[0] or type(f) is partial for form, f in branches):
             return None
-    elif any(form[0] for _, forms in choices for form in forms):
-        return [layer((e, zero)) for e in elements], 1
-    return [layer((elements[0], zero))], n
+    elif list_fold and any(form[0] for form, _ in branches):
+        return choices, [(e, 1) for e in elements]
+    return choices, [(0, n)]
+
+
+def _shifts(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[list, int]] | None:
+    """A fold's layers when every branch shifts its int state, innermost
+    first, as runs (layer, times): each layer the (c, w) the step's
+    ``outcomes`` gives at the zero state in descending c. A for-loop's
+    branches are (1, c); a list fold's (a, 1, c) shift by a*e + c at an
+    element e (``_layer_runs``). None for any other fold, and for one with no
+    layers."""
+    read = _layer_runs(functor, (step,), value)
+    if read is None:
+        return None
+    [(_, forms)], elements = read
+    if any(form[-2] != 1 for form in forms):
+        return None
+    list_fold = isinstance(functor, ListF)
+    return [(sorted(step.outcomes((e, 0) if list_fold else 0), reverse=True), times) for e, times in elements]
 
 
 def _shifted(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist | None:
-    """The fold on one float64 array of masses at slots lo, lo + 1, ..., when
-    every branch shifts an int component of the state (``_shifts``), the base
-    holds ints (int pairs for a banana-split step, whose values and shifts
-    ``_slots`` numbers) and the array has at most ``_DENSE_SPAN`` slots per
-    value the fold surely reaches; None for any other fold. The array is at
-    most the span of the base's slots plus each layer's span of offsets long;
-    ``_slots`` bounds the values reached from below, on one axis by
-    |base| + sum_t (|S_t| - 1), S_t layer t's shifts."""
-    shifts = _shifts(functor, step, value)
-    if shifts is None:
+    """The fold on one float64 array of masses at values lo, lo + 1, ...,
+    when every branch shifts the int state (``_shifts``), the base holds ints
+    and the array has at most ``_DENSE_SPAN`` slots per value the fold surely
+    reaches, |base| + sum_t (|S_t| - 1) for S_t layer t's shifts; None for any
+    other fold. The array is at most the span of the base plus each layer's
+    span of shifts long."""
+    runs = _shifts(functor, step, value)
+    if runs is None or not all(type(v) is int for v in base._mass):
         return None
-    layers, times = shifts
-    if type(step) is _Split:
-        slots = _slots(base, layers, times)
-        if slots is None:
-            return None
-        values, layers, reach, decode = slots
-    elif all(type(v) is int for v in base._mass):
-        values, reach, decode = base._mass, len(base) + times * sum(len(layer) - 1 for layer in layers), None
-    else:
-        return None
-    lo, hi = min(values), max(values)
-    if hi - lo + 1 + times * sum(layer[0][0] - layer[-1][0] for layer in layers) > _DENSE_SPAN * reach:
+    lo, hi = min(base._mass), max(base._mass)
+    reach = len(base) + sum(times * (len(layer) - 1) for layer, times in runs)
+    if hi - lo + 1 + sum(times * (layer[0][0] - layer[-1][0]) for layer, times in runs) > _DENSE_SPAN * reach:
         return None
     masses = np.zeros(hi - lo + 1)
-    masses[[v - lo for v in values]] = list(base._mass.values())
-    for layer in layers:
+    masses[[v - lo for v in base._mass]] = list(base._mass.values())
+    for layer, times in runs:
         weights = np.array([w for _, w in layer])[:, None]
         for _ in range(times):
             masses, lo = _shift_layer(masses, lo, layer, weights)
     kept = masses.nonzero()[0]
-    values = [lo + i for i in kept.tolist()] if decode is None else decode(lo, kept)
-    return Dist(_Masses(zip(values, masses[kept].tolist())))
-
-
-def _slots(base: Dist, layers: list, times: int) -> tuple[list, list, int, Callable] | None:
-    """A fold of shifts over tuples of ints as one over the slots of a single
-    axis, which ``_shifted`` runs: the base's slots, each layer's (offset, w)
-    in descending offset, the number of values the fold surely reaches, and
-    the function from the final array's first slot and nonzero positions to
-    their tuples. None unless the base holds tuples of ints and each layer's
-    shifts are all combinations of its shifts on each axis (not so where
-    ``_Pair`` pruned a light product).
-
-    The array is the N-d one in row-major order, each axis as long as its
-    final span: the tuple v sits at sum_i (v_i - o_i)*k_i for the strides k,
-    where the origin o moves by each layer's least shift on each axis, so
-    v_i - o_i stays within axis i's span and no row overflows into the next.
-    Descending tuples then give descending offsets, and every slot's sum is
-    ``bind``'s.
-
-    The fold reaches R = B + S_1 + ... + S_n, B the base's values and S_t
-    layer t's shifts. For finite sets of int vectors |X + Y| >= |X| + |Y| - 1:
-    adding a vector keeps lexicographic order, so x_1 + y_1 < ... <
-    x_1 + y_m < x_2 + y_m < ... < x_k + y_m are distinct. A sum of products
-    of sets is the product of the sums on each axis, so |R| >= |B| - 1 +
-    prod_i (1 + sum_t (|S_t^i| - 1)), S_t^i layer t's shifts on axis i."""
-    axes = len(layers[0][0][0])
-    if not all(type(v) is tuple and len(v) == axes and all(type(x) is int for x in v) for v in base._mass):
-        return None
-    columns = list(zip(*base._mass))
-    origin = [min(column) for column in columns]
-    spans = [max(column) - o + 1 for column, o in zip(columns, origin)]
-    reach, least = [1] * axes, []
-    for layer in layers:
-        moves = list(zip(*(c for c, _ in layer)))
-        distinct = [len(set(move)) for move in moves]
-        if math.prod(distinct) != len(layer):
-            return None
-        for i, move in enumerate(moves):
-            spans[i] += times * (max(move) - min(move))
-            reach[i] += times * (distinct[i] - 1)
-        least.append([min(move) for move in moves])
-    strides = [math.prod(spans[i + 1:]) for i in range(axes)]
-    slot = lambda v, o: sum((x - y) * k for x, y, k in zip(v, o, strides))
-    values = [slot(v, origin) for v in base._mass]
-    layers = [[(slot(c, low), w) for c, w in layer] for layer, low in zip(layers, least)]
-    origin = [o + times * sum(low[i] for low in least) for i, o in enumerate(origin)]
-    decode = lambda lo, kept: list(zip(*([o + i for i in axis.tolist()]
-                                         for o, axis in zip(origin, np.unravel_index(kept + lo, spans)))))
-    return values, layers, len(base) - 1 + math.prod(reach), decode
+    return Dist(_Masses(zip([lo + i for i in kept.tolist()], masses[kept].tolist())))
 
 
 def _shift_layer(masses: np.ndarray, lo: int, layer: list, weights: np.ndarray) -> tuple[np.ndarray, int]:
@@ -584,6 +559,14 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
     With no test inputs the condition is reported unchecked and ``holds`` is
     false. Two choice steps tuple into a step that ``bind`` still expands.
     """
+    tupled, report, _ = _tupled_checked(functor, h, k, test_inputs)
+    return tupled, report
+
+
+def _tupled_checked(functor: FunctorDesc, h: Algebra, k: Algebra,
+                    test_inputs: Iterable[Any]) -> tuple[Algebra, SideConditionReport, list[Dist]]:
+    """``tupled_from_mutual``, and the tupled folds of ``test_inputs`` that
+    its side condition checked, in input order."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("tupled_from_mutual needs both algebras over the given functor")
 
@@ -591,7 +574,8 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
 
     tested = tuple(test_inputs)
     fst_sharp = snd_sharp = bool(tested)
-    for fold in _fold_each(tupled, tested):
+    folds = _fold_each(tupled, tested)
+    for fold in folds:
         left, right = marginals(fold)
         fst_sharp = fst_sharp and left.is_dirac()
         snd_sharp = snd_sharp and right.is_dirac()
@@ -604,7 +588,7 @@ def tupled_from_mutual(functor: FunctorDesc, h: Algebra, k: Algebra,
     else:
         message = ("side condition fails on tested range (neither projection is "
                    "sharp): tupling may change the distribution")
-    return tupled, SideConditionReport(fst_sharp, snd_sharp, holds, tested, message)
+    return tupled, SideConditionReport(fst_sharp, snd_sharp, holds, tested, message), folds
 
 
 def base_choice_split(f: Callable[[Any], Dist], a: Any, b: Any, p: float, n: int) -> tuple[Dist, Dist]:

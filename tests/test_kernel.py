@@ -1,6 +1,6 @@
-"""The array kernels of for-loops over choices of affine pair-state branches
-and of folds of shifts over ints, checked bit for bit against the dict path
-they replace."""
+"""The array kernels of for-loops over choices of affine pair-state branches,
+of banana-split folds over int pairs and of folds of shifts over ints,
+checked bit for bit against the dict path they replace."""
 
 import itertools
 import math
@@ -18,7 +18,7 @@ from probfold.cases import (fadd, fadd_combined, fadd_zero, favg_pair, favg_spli
                             sq_algebras, sq_prime_algebras)
 from probfold.dist import _affine as _pair_affine
 from probfold.dist import (PROPER_TOL, PRUNE_EPS, Dist, DistributionError, _Choice, _identity, _pair_value, _paired,
-                           _plus_one, _plus_two, _Plain, _second, _sum, dirac, pair)
+                           _plus_one, _plus_two, _Plain, _second, _sum, _zero, dirac, pair)
 from probfold.functors import ForLoopF, ListF
 from probfold.schemes import Algebra, banana_split, cata_eval, fold_list, for_loop, mutual_eval
 
@@ -277,7 +277,7 @@ def _near(base: Dist) -> bool:
     return max(base.support) - min(base.support) < 8
 
 
-def _check_shift_layers(ran: int, outcome: str, layers: int, taken: bool) -> None:
+def _check_layers(ran: int, outcome: str, layers: int, taken: bool) -> None:
     """The kernel ran every layer, or those up to the failing one, or none; and
     at least one where it must take the fold."""
     assert ran == 0 or ran == layers or (outcome.startswith("DistributionError") and ran < layers)
@@ -293,7 +293,7 @@ def test_for_loops_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(ste
         outcome = _outcome(lambda: for_loop(step, base, n))
     assert outcome == reference
     # a layer spans at most 8 more slots than it has shifts beyond the first
-    _check_shift_layers(ran["layers"], outcome, n, _near(base))
+    _check_layers(ran["layers"], outcome, n, _near(base))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -307,7 +307,7 @@ def test_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fo
     assert outcome == reference
     scales = {_pair_affine(f)[0] for _, f in step}
     named = not any(type(f) is partial for _, f in step)
-    _check_shift_layers(ran["layers"], outcome, len(xs),
+    _check_layers(ran["layers"], outcome, len(xs),
                         _near(base) and len(scales) == 1 and (named or not isinstance(xs, str)))
 
 
@@ -315,23 +315,31 @@ def test_the_shift_cases_run_every_layer_on_the_dense_array():
     runs = {"ftwice": (partial(ftwice, 0.1, 7), 7), "fcount": (partial(fcount, 0.1, "abcde"), 5),
             "pipeline_consolidated": (partial(pipeline_consolidated, 0.1, 0.2, "abc"), 3),
             "fsum": (partial(fsum, 0.1, [1, 2, 3]), 3), "favg_pair": (partial(favg_pair, 0.1, 0.2, [1, 2]), 4),
+            # a banana-split fold over int pairs runs on the pair-state kernel
             "favg_split": (partial(favg_split, 0.1, 0.2, [1, 2]), 2),
-            # the sum of these 14 ints spans 83 slots by 15 counts
             "favg_split, 14 ints": (partial(favg_split, 0.12, 0.13, [8, 8, 8, 7, 7, 5, 8, 7, 5, 6, 4, 1, 5, 3]), 14)}
     for name, (run, layers) in runs.items():
-        with _counted_shift_layers() as ran:
+        with _counted_shift_layers() as ran, _counted_array_layers() as paired:
             run()
-        assert ran["layers"] == layers, name
+        assert (ran["layers"], paired["layers"]) == ((0, layers) if "split" in name else (layers, 0)), name
 
 
 def test_a_fold_of_shifts_with_no_layers_gives_its_base():
     base = Dist({-2: 0.25, 10**30: 0.75})
     assert for_loop(fadd(0.1, 2), base, 0) is base
     assert fold_list(fsum_algebra(0.1).step, base, "") is base
+    # the pair-state kernels leave a fold with no layers to the dict path too
+    h, k = sq_algebras(0.1)
+    pairs = Dist({(0, 1): 0.5, (2, 3): 0.5})
+    assert cata_eval(_FOR, Algebra(_FOR, pairs, _paired(h.step, k.step)), 0) is pairs
+    assert for_loop(_split(_FOR, fadd(0.1, 2).apply, fadd(0.2, 1).apply), pairs, 0) is pairs
+    assert fold_list(_split(_LIST, fsum_algebra(0.1).step, fcount_algebra(0.2).step), pairs, []) is pairs
+    f, g = mutual_eval(_FOR, h, k, 0)
+    assert f is h.base and g is k.base
 
 
 def _shift_fallbacks():
-    """Folds the dense kernel does not take: (label, run, step)."""
+    """Folds no array kernel takes: (label, run, step)."""
     yield "bool base", lambda s: for_loop(s, dirac(True), 3), fadd(0.1, 2).apply
     yield "zero branch", lambda s: for_loop(s, dirac(3), 4), fadd_zero(0.1, 2).apply
     yield "zero and identity branches", lambda s: for_loop(s, dirac(3), 4), fadd_combined(0.1, 0.2, 2).apply
@@ -346,23 +354,42 @@ def _shift_fallbacks():
     sum_count = _split(_LIST, fsum_algebra(0.1).step, fcount_algebra(0.2).step)
     yield "split: float element", lambda s: fold_list(s, dirac((0, 0)), [1.5, 2, 3]), sum_count
     yield "split: bool base", lambda s: fold_list(s, dirac((True, 0)), [1, 2]), sum_count
-    yield "split: zero branch in one factor", lambda s: for_loop(s, dirac((3, 1)), 4), _split(
-        _FOR, fadd(0.1, 2).apply, fadd_zero(0.1, 1).apply)
-    yield "split: huge addend", lambda s: fold_list(s, dirac((0, 0)), [2**40, 1, 2]), sum_count
-    # 2*PRUNE_EPS * 0.4 drops and 2*PRUNE_EPS * 0.6 stays: three of four shifts
-    yield "split: light product pruned", lambda s: for_loop(s, dirac((0, 0)), 3), _split(
-        _FOR, _Choice(((2 * PRUNE_EPS, partial(operator.add, 1)), (1 - 2 * PRUNE_EPS, _identity))), fadd(0.4, 1).apply)
+    # the element enters the sum's component as the constant 2**70
+    yield "split: element beyond int64", lambda s: fold_list(s, dirac((0, 0)), [2**70, 1]), sum_count
 
 
 @pytest.mark.parametrize("label, run, step", list(_shift_fallbacks()), ids=lambda x: x if isinstance(x, str) else "")
 def test_what_the_dense_kernel_cannot_hold_takes_the_dict_path_unchanged(label, run, step):
-    with _counted_shift_layers() as ran:
+    with _counted_array_layers(("_shift_layer", "_mutual_arrays", "_tupled_arrays")) as ran:
         outcome = _outcome(lambda: run(step))
     assert ran["layers"] == 0
     assert outcome == _outcome(lambda: run(_opaque(step)))
 
 
-# --- banana-split folds of shifts over int pairs on the dense array ----------
+# --- banana-split folds over int pairs on the pair-state kernel ----------------
+
+def _split_folds_beyond_shifts():
+    """Banana-split folds that are no folds of shifts, as the dense kernel
+    required: (label, run, step, layers)."""
+    yield "zero branch in one factor", lambda s: for_loop(s, dirac((3, 1)), 4), _split(
+        _FOR, fadd(0.1, 2).apply, fadd_zero(0.1, 1).apply), 4
+    # 2**40 slots for a few values
+    yield "huge addend", lambda s: fold_list(s, dirac((0, 0)), [2**40, 1, 2]), _split(
+        _LIST, fsum_algebra(0.1).step, fcount_algebra(0.2).step), 3
+    # 2*PRUNE_EPS * 0.4 drops and 2*PRUNE_EPS * 0.6 stays: three of four shifts
+    yield "light product pruned", lambda s: for_loop(s, dirac((0, 0)), 3), _split(
+        _FOR, _Choice(((2 * PRUNE_EPS, partial(operator.add, 1)), (1 - 2 * PRUNE_EPS, _identity))),
+        fadd(0.4, 1).apply), 3
+
+
+@pytest.mark.parametrize("label, run, step, layers", list(_split_folds_beyond_shifts()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_split_folds_run_every_layer_on_the_pair_kernel(label, run, step, layers):
+    with _counted_array_layers() as ran, _counted_shift_layers() as shifted:
+        outcome = _outcome(lambda: run(step))
+    assert (ran["layers"], shifted["layers"]) == (layers, 0)
+    assert outcome == _outcome(lambda: run(_opaque(step)))
+
 
 @st.composite
 def _pair_bases(draw):
@@ -371,40 +398,40 @@ def _pair_bases(draw):
     return draw(_dists(st.tuples(*(st.integers(a, a + 7) for a in anchors))))
 
 
-def _fits(step, states, times: int, base: Dist) -> bool:
-    """Whether the dense kernel must take a banana-split fold of shifts whose
-    layers are the step's outcomes at ``states``, each run ``times`` times:
-    each layer's shifts are all combinations of its shifts on each axis, and
-    the axes span at most 8 slots per value the fold surely reaches,
-    |base| - 1 + prod_i (1 + sum_t (|S_t^i| - 1))."""
-    layers = [{c for c, _ in step.outcomes(state)} for state in states]
-    axes = [[{c[i] for c in layer} for layer in layers] for i in (0, 1)]
-    if any(len(layer) != len(a) * len(b) for layer, a, b in zip(layers, *axes)):
-        return False
-    spans = [max(v[i] for v in base.support) - min(v[i] for v in base.support) + 1
-             + times * sum(max(s) - min(s) for s in axes[i]) for i in (0, 1)]
-    reach = len(base) - 1 + math.prod(1 + times * sum(len(s) - 1 for s in axes[i]) for i in (0, 1))
-    return spans[0] * spans[1] <= 8 * reach
+def _fits(base: Dist) -> bool:
+    """Whether the pair-state kernel must take a banana-split fold of two
+    choices of affine branches from ``base``: it holds int pairs, and every
+    value stays within int64. The drawn layers, at most 12 shifts by at most
+    5 or 8 scalings by at most 2, keep a base below 2**40 within it."""
+    return all(type(x) is int and abs(x) < 2**40 for v in base.support for x in v)
+
+
+# reset and scaled factor branches, which the pair-state kernel takes and the
+# dense one did not: a for-loop's reset to 0, a list fold's (a, b, c) for b
+# other than 1
+_SPLIT_ADDS = st.one_of(_ADDS, st.just(_zero))
+_SCALED = st.builds(partial, st.just(_pair_value), st.integers(-1, 2), st.sampled_from([-1, 0, 2]), st.integers(-3, 5))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(left=_shift_choices(_ADDS), right=_shift_choices(_ADDS), base=_pair_bases(), n=st.integers(0, 12))
+@given(left=_shift_choices(_SPLIT_ADDS), right=_shift_choices(_SPLIT_ADDS), base=_pair_bases(), n=st.integers(0, 12))
 def test_split_for_loops_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(left, right, base, n):
     step = _split(_FOR, left, right)
     n = _loop_count(n, schemes._folds(itertools.repeat(_opaque(step), n), base), len)
-    with _counted_shift_layers() as ran:
+    with _counted_array_layers() as ran, _counted_shift_layers() as shifted:
         reference = _outcome(lambda: for_loop(_opaque(step), base, n))
         assert ran["layers"] == 0
         outcome = _outcome(lambda: for_loop(step, base, n))
     assert outcome == reference
-    _check_shift_layers(ran["layers"], outcome, n, _fits(step, [(0, 0)], n, base))
+    assert shifted["layers"] == 0
+    _check_layers(ran["layers"], outcome, n, _fits(base))
 
 
 @st.composite
 def _split_list_folds(draw):
-    """Two factor steps of shifts and an input of ints or letters."""
+    """Two affine factor steps and an input of ints or letters."""
     xs = draw(st.one_of(st.lists(st.integers(-3, 5), min_size=1, max_size=8), st.text("abc", min_size=1, max_size=8)))
-    branches = _LETTER_BRANCHES if isinstance(xs, str) else _LIST_BRANCHES
+    branches = st.one_of(_LETTER_BRANCHES if isinstance(xs, str) else _LIST_BRANCHES, _SCALED)
     return _split(_LIST, draw(_shift_choices(branches)), draw(_shift_choices(branches))), xs
 
 
@@ -414,14 +441,15 @@ def test_split_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_
     step, xs = fold
     kept = _loop_count(len(xs), schemes._folds(_LIST.layers(_opaque(step), xs), base), len)
     xs = xs[len(xs) - kept:]  # the innermost elements, folded first
-    with _counted_shift_layers() as ran:
+    with _counted_array_layers() as ran, _counted_shift_layers() as shifted:
         reference = _outcome(lambda: fold_list(_opaque(step), base, xs))
         assert ran["layers"] == 0
         outcome = _outcome(lambda: fold_list(step, base, xs))
     assert outcome == reference
+    assert shifted["layers"] == 0
+    # over letters only named branches, which ignore the element, are taken
     named = not any(type(f) is partial or _pair_affine(f)[0] for factor in step[3:] for _, f in factor)
-    taken = (named or not isinstance(xs, str)) and _fits(step, [(e, (0, 0)) for e in xs], 1, base)
-    _check_shift_layers(ran["layers"], outcome, len(xs), taken)
+    _check_layers(ran["layers"], outcome, len(xs), (named or not isinstance(xs, str)) and _fits(base))
 
 
 def test_a_split_step_keeps_its_outcomes_and_its_factors():
