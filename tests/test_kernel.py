@@ -308,7 +308,7 @@ def test_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fo
     scales = {_pair_affine(f)[0] for _, f in step}
     named = not any(type(f) is partial for _, f in step)
     _check_layers(ran["layers"], outcome, len(xs),
-                        _near(base) and len(scales) == 1 and (named or not isinstance(xs, str)))
+                  _near(base) and len(scales) == 1 and (named or not isinstance(xs, str)))
 
 
 def test_the_shift_cases_run_every_layer_on_the_dense_array():
