@@ -88,6 +88,15 @@ def _check_total(masses: Iterable[float]) -> None:
         raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
 
 
+def _check_merged(acc: dict, values: Iterable) -> None:
+    """DomainError where one of ``values`` summed into an equal key of ``acc``
+    that is not alike (``dims._alike``): a bool and the number it equals."""
+    keys = dict(zip(acc, acc))
+    for v in values:
+        if not _alike(keys[v], v):
+            raise DomainError(f"support values {keys[v]!r} and {v!r} are equal, but a bool is not a number")
+
+
 class _Masses(dict):
     """Accumulator of the monad's own operations. Its values come from Dist
     supports or through ``canonical_value``, and its masses are sums and
@@ -134,10 +143,7 @@ class Dist:
                 if old is not None:  # the first of the equal values keys their sum
                     merged.append(value)
             if merged:
-                keys = dict(zip(acc, acc))
-                for v in merged:
-                    if not _alike(keys[v], v):
-                        raise DomainError(f"support values {keys[v]!r} and {v!r} are equal, but a bool is not a number")
+                _check_merged(acc, merged)
         # one or two values, none pruned and a proper total: the general tail's
         # result in constant time (m + n is fsum's total of two floats)
         if len(acc) == 1:
@@ -208,6 +214,7 @@ def choice(p: float, d: Dist, e: Dist) -> Dist:
         acc[v] = acc.get(v, 0.0) + p * m
     for v, m in e._mass.items():
         acc[v] = acc.get(v, 0.0) + (1.0 - p) * m
+    _check_merged(acc, e._mass)
     return Dist(acc)
 
 
@@ -271,6 +278,9 @@ def marginals(d: Dist) -> tuple[Dist, Dist]:
         b, c = v
         fst[b] = fst.get(b, 0.0) + m
         snd[c] = snd.get(c, 0.0) + m
+    if not set(map(type, chain.from_iterable(d._mass))) <= _SCALARS:  # a bool, or a tuple that may hold one
+        _check_merged(fst, [b for b, _ in d._mass])
+        _check_merged(snd, [c for _, c in d._mass])
     return Dist(fst), Dist(snd)
 
 

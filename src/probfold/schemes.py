@@ -68,12 +68,13 @@ def _last(folds: Iterator) -> Any:
 
 def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: Any) -> Dist:
     """The monadic catamorphism: bind the layers ``functor`` unfolds from
-    ``value``, innermost first, starting from ``base``. A fold over int pairs
-    whose step pairs two choices of affine branches -- a tupled for-loop or a
-    banana-split fold (``_tupled_affine``) -- and a fold of shifts of an int
-    (``_shifted``) run on arrays, with the same result. No Dist is false."""
+    ``value``, innermost first, starting from ``base``. A fold that
+    ``_affine_runs`` reads as array layers runs on arrays, with the same
+    result: over int pairs on the pair-state kernel (``_tupled_affine``), over
+    ints when every branch shifts the state (``_shifted``). No Dist is false."""
     step = _as_step(step)  # once, not once per layer
-    return (_tupled_affine(functor, step, base, value) or _shifted(functor, step, base, value)
+    runs = _affine_runs(functor, step, value)
+    return ((runs and (_tupled_affine(runs, base) or _shifted(functor, step, base, runs)))
             or _last(_folds(functor.layers(step, value), base)))
 
 
@@ -119,11 +120,11 @@ class Algebra:
 def cata_eval(functor: FunctorDesc, alg: Algebra, value: Any) -> Dist:
     """Evaluate the catamorphism of ``alg`` on one initial-algebra value.
 
-    A fold over int pairs whose step pairs two choices of affine branches (a
-    tupled square program's for-loop, or a banana-split fold such as
-    ``favg_split``) runs on arrays, and so does a fold whose every branch
-    shifts an int (``fcount``, ``fsum``); the result is the same, bit for
-    bit."""
+    A fold that ``_affine_runs`` reads as layers of choices of affine
+    branches runs on arrays: over int pairs (a tupled square program's
+    for-loop, or a banana-split fold such as ``favg_split``), and over ints
+    when every branch shifts the state (``fcount``, ``fsum``); the result is
+    the same, bit for bit."""
     if alg.functor != functor:
         raise DomainError(f"algebra functor {alg.functor} does not match {functor}")
     return _fold(functor, alg.step, alg.base, value)
@@ -252,8 +253,8 @@ class _Split(_Pair):
     """The step of ``banana_split`` over ``functor``: the ``_Pair`` of
     ``left`` after F fst and ``right`` after F snd, which ``bind`` expands as
     any pair, followed by the functor and the two factor steps themselves
-    (``step[2:]``), kept as data so the pair-state kernel reads their
-    branches (``_tupled_affine``)."""
+    (``step[2:]``), kept as data so that ``_affine_runs`` reads each factor's
+    branches onto its own component of the pair state."""
 
     __slots__ = ()
 
@@ -272,7 +273,8 @@ def banana_split(functor: FunctorDesc, alg_f: Algebra, alg_g: Algebra) -> Algebr
     combined step keeps both factor steps as data: two choice steps combine
     into a step that ``bind`` still expands, and two choices of affine
     branches of ints (``favg_split``'s sum and count) into a fold that runs
-    on arrays over int pairs, with the same result bit for bit.
+    on arrays over int pairs (``_affine_runs``), with the same result bit for
+    bit.
     """
     if alg_f.functor != functor or alg_g.functor != functor:
         raise DomainError("banana_split needs both algebras over the given functor")
@@ -284,16 +286,14 @@ def mutual_eval(functor: FunctorDesc, h: Algebra, k: Algebra, value: Any) -> tup
     recursive occurrences independently (the pre-tupling semantics).
 
     Two for-loops over ints whose steps are choices of affine branches (the
-    square programs) run on arrays: one outer product and one scatter-add per
-    step and layer, with the same results and total-mass errors, bit for
-    bit."""
+    square programs) run on arrays, read by ``_affine_runs`` from the pair of
+    steps ``tupled_from_mutual`` builds: one outer product and one
+    scatter-add per step and layer, with the same results and total-mass
+    errors, bit for bit."""
     if h.functor != functor or k.functor != functor:
         raise DomainError("mutual_eval needs both algebras over the given functor")
-    if isinstance(functor, ForLoopF):
-        folded = _mutual_affine(h, k, functor._count(value))
-        if folded is not None:
-            return folded
-    return _last(_mutual_folds(functor, h, k, value))
+    runs = _affine_runs(functor, _paired(h.step, k.step), value)
+    return (runs and _mutual_affine(runs, h.base, k.base)) or _last(_mutual_folds(functor, h, k, value))
 
 
 def _mutual_folds(functor: FunctorDesc, h: Algebra, k: Algebra,
@@ -318,15 +318,15 @@ def _mutual_layer(fg: tuple[Dist, Dist], layer: tuple[Callable, Callable]) -> tu
 _DENSE_SPAN = 8
 
 
-def _stays_int64(columns: tuple[tuple, tuple], runs: list[tuple[tuple, int]]) -> bool:
+def _stays_int64(columns: tuple[tuple, tuple], runs: list[tuple[list, int, Any]]) -> bool:
     """Whether ``columns``, the values of the two components of the pair
-    states, are ints, never bools, and every layer of ``runs`` -- the two
-    choices of each run taken its number of times in turn -- stays in int64
-    from them: ``matrix._value_bound``, layer by layer."""
+    states, are ints, never bools, and every layer of ``runs`` (``_affine_runs``)
+    -- the two choices of each run taken its number of times in turn -- stays
+    in int64 from them: ``matrix._value_bound``, layer by layer."""
     if not all(type(x) is int for col in columns for x in col):
         return False
     bounds = [max(map(abs, col)) for col in columns]
-    for choices, times in runs:
+    for choices, times, _ in runs:
         for _ in range(times):
             if not all(x in _INT64 for x in bounds):
                 return False
@@ -409,114 +409,88 @@ def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray,
     return _gathered(keys, (m[:, None, None] * weights)[keep])
 
 
-def _mutual_affine(h: Algebra, k: Algebra, n: int) -> tuple[Dist, Dist] | None:
-    """``mutual_eval`` of two for-loop algebras on arrays, when their steps
-    are choices of affine branches, their bases hold ints and every value of
-    the ``n`` layers stays in int64; None for any other pair, and for n = 0."""
-    choices = _affine_choice(h.step, 2), _affine_choice(k.step, 2)
-    if not n or None in choices or not _stays_int64((h.base.support, k.base.support), [(choices, n)]):
+def _mutual_affine(runs: list[tuple[list, int, Any]], f: Dist, g: Dist) -> tuple[Dist, Dist] | None:
+    """``mutual_eval`` on arrays, a ``_mutual_arrays`` layer per layer of ``runs``
+    (``_affine_runs`` of the pair of its steps), when the bases ``f`` and ``g``
+    hold ints and every value of the layers stays in int64; None otherwise."""
+    if not _stays_int64((f.support, g.support), runs):
         return None
-    f, g = _arrays(h.base), _arrays(k.base)
-    for _ in range(n):
-        f, g = _mutual_arrays(f, g, *choices)
+    f, g = _arrays(f), _arrays(g)
+    for choices, times, _ in runs:
+        for _ in range(times):
+            f, g = _mutual_arrays(f, g, *choices)
     return _dist(f), _dist(g)
 
 
-def _tupled_affine(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist | None:
-    """The fold of ``step`` from ``base`` on arrays, one ``_tupled_arrays``
-    layer per layer, when the step pairs two choices of affine branches of an
-    int pair state, the base holds int pairs and every value of the layers
-    stays in int64; None for any other fold, and for one with no layers. The
-    step is a for-loop's tupled ``_Pair``, whose branches read both
-    components, or a banana-split step (``_Split``) of the fold's own
-    functor, whose two factors each read their own component: a factor's form
-    (a, c) of y, or (a, b, c) of (e, y) at a list element e, enters on its
-    side as k*y + c' with (k, c') = (a, c) or (b, a*e + c), at the elements
-    ``_layer_runs`` gives."""
-    if type(step) is _Split and step[2] == functor:
-        read = _layer_runs(functor, step[3:], value)
-        if read is None:
-            return None
-        factors, elements = read
-
-        def placed(e: int) -> tuple:  # each factor's forms as pair-state forms on its own side
-            return tuple((weights, [((k, 0), (0, k))[side] + (sum(a) * e + c,) for *a, k, c in forms])
-                         for side, (weights, forms) in enumerate(factors))
-        runs = [(placed(e), times) for e, times in elements]
-    elif type(step) is _Pair and isinstance(functor, ForLoopF) and (n := functor._count(value)):
-        runs = [(tuple(_affine_choice(s, 2) for s in step), n)]
-    else:
-        return None
+def _tupled_affine(runs: list[tuple[list, int, Any]], base: Dist) -> Dist | None:
+    """The fold of ``runs`` (``_affine_runs``) from ``base`` on arrays, a
+    ``_tupled_arrays`` layer per layer, when they have two components, the base
+    holds int pairs and every value stays in int64; None for any other fold."""
     pairs = base.support
-    if (any(None in choices for choices, _ in runs)
-            or not all(type(v) is tuple and len(v) == 2 for v in pairs) or not _stays_int64(tuple(zip(*pairs)), runs)):
+    if (len(runs[0][0]) != 2 or not all(type(v) is tuple and len(v) == 2 for v in pairs)
+            or not _stays_int64(tuple(zip(*pairs)), runs)):
         return None
     state = _arrays(base)
-    for choices, times in runs:
+    for choices, times, _ in runs:
         for _ in range(times):
             state = _tupled_arrays(state, *choices)
     return _dist(state)
 
 
-def _layer_runs(functor: FunctorDesc, factors: Sequence[_Step], value: Any) -> tuple[list, list] | None:
-    """The choices of a fold's ``factors``, each a choice of affine branches
-    of the state (a for-loop's) or of (element, state) (a list fold's), and
-    the elements the layers read them at, innermost first, as runs (e, times):
-    each element once where a branch reads it (a != 0 in a*e + b*y + c), else
-    0 for every layer. None for any other fold, for one with no layers, and
-    where an element is not an int and a branch reads it or is a partial
-    ``_pair_value``, which takes 0*e (0.0 at a float e)."""
+def _affine_runs(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[list, int, Any]] | None:
+    """A fold's layers as the array kernels take them, innermost first, as
+    runs (choices, times, e): one ``dist._affine_choice`` per int state
+    component, forms over the whole state, taken ``times`` times at list
+    element e (0 where no branch reads one). A choice step gives one
+    component, a for-loop's tupled ``_Pair`` two, and a banana-split step
+    (``_Split``) of the fold's own functor two, each factor's form (a, c) of
+    y, or (a, b, c) of (e, y), on its own component as k*y + c' with (k, c')
+    = (a, c) or (b, a*e + c). A list fold runs each element once where a
+    branch reads it (a != 0). None for any other fold, for one with no
+    layers, and where an element is not an int and a branch reads it or is a
+    partial ``_pair_value``, which takes 0*e (0.0 at a float e)."""
     if not isinstance(functor, (ForLoopF, ListF)):
         return None
     list_fold = isinstance(functor, ListF)
     elements = functor._sequence(value)[::-1] if list_fold else ()
     n = len(elements) if list_fold else functor._count(value)
-    choices = [_affine_choice(factor, 1 + list_fold) for factor in factors] if n else [None]
+    tupled = type(step) is _Pair and not list_fold
+    factors = step if tupled else step[3:] if type(step) is _Split and step[2] == functor else (step,)
+    choices = [_affine_choice(factor, 2 if tupled or list_fold else 1) for factor in factors] if n else [None]
     if None in choices:
         return None
+    if tupled:  # its branches read the whole pair state
+        return [(choices, n, 0)]
     branches = [(form, f) for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)]
-    if not all(type(e) is int for e in elements):
-        if any(form[0] or type(f) is partial for form, f in branches):
-            return None
-    elif list_fold and any(form[0] for form, _ in branches):
-        return choices, [(e, 1) for e in elements]
-    return choices, [(0, n)]
-
-
-def _shifts(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[list, int]] | None:
-    """A fold's layers when every branch shifts its int state, innermost
-    first, as runs (layer, times): each layer the (c, w) the step's
-    ``outcomes`` gives at the zero state in descending c. A for-loop's
-    branches are (1, c); a list fold's (a, 1, c) shift by a*e + c at an
-    element e (``_layer_runs``). None for any other fold, and for one with no
-    layers."""
-    read = _layer_runs(functor, (step,), value)
-    if read is None:
+    ints = all(type(e) is int for e in elements)
+    if not ints and any(form[0] or type(f) is partial for form, f in branches):
         return None
-    [(_, forms)], elements = read
-    if any(form[-2] != 1 for form in forms):
+    runs = [(e, 1) for e in elements] if ints and list_fold and any(form[0] for form, _ in branches) else [(0, n)]
+    zeros = (0,) * len(choices)  # component i's forms over the whole state: k at i, c' = a*e + c (e = 0 in a for-loop)
+    return [([(weights, [(*zeros[:i], f[-2], *zeros[i + 1:], f[0] * e + f[-1]) for f in forms])
+              for i, (weights, forms) in enumerate(choices)], times, e) for e, times in runs]
+
+
+def _shifted(functor: FunctorDesc, step: _Step, base: Dist, runs: list[tuple[list, int, Any]]) -> Dist | None:
+    """The fold on one float64 array of masses at values lo, lo + 1, ...,
+    when ``runs`` (``_affine_runs``) have one int component that every branch
+    shifts (k = 1), the base holds ints and the array has at most
+    ``_DENSE_SPAN`` slots per value the fold surely reaches, |base| + sum_t
+    (|S_t| - 1) for S_t layer t's shifts: the (c, w) the step's ``outcomes``
+    gives at the zero state and run element e, in descending c. None for any
+    other fold. The array spans the base and each layer's shifts."""
+    choices = runs[0][0]
+    if len(choices) != 1 or any(k != 1 for k, _ in choices[0][1]) or not all(type(v) is int for v in base._mass):
         return None
     list_fold = isinstance(functor, ListF)
-    return [(sorted(step.outcomes((e, 0) if list_fold else 0), reverse=True), times) for e, times in elements]
-
-
-def _shifted(functor: FunctorDesc, step: _Step, base: Dist, value: Any) -> Dist | None:
-    """The fold on one float64 array of masses at values lo, lo + 1, ...,
-    when every branch shifts the int state (``_shifts``), the base holds ints
-    and the array has at most ``_DENSE_SPAN`` slots per value the fold surely
-    reaches, |base| + sum_t (|S_t| - 1) for S_t layer t's shifts; None for any
-    other fold. The array is at most the span of the base plus each layer's
-    span of shifts long."""
-    runs = _shifts(functor, step, value)
-    if runs is None or not all(type(v) is int for v in base._mass):
-        return None
+    layers = [(sorted(step.outcomes((e, 0) if list_fold else 0), reverse=True), times) for _, times, e in runs]
     lo, hi = min(base._mass), max(base._mass)
-    reach = len(base) + sum(times * (len(layer) - 1) for layer, times in runs)
-    if hi - lo + 1 + sum(times * (layer[0][0] - layer[-1][0]) for layer, times in runs) > _DENSE_SPAN * reach:
+    reach = len(base) + sum(times * (len(layer) - 1) for layer, times in layers)
+    if hi - lo + 1 + sum(times * (layer[0][0] - layer[-1][0]) for layer, times in layers) > _DENSE_SPAN * reach:
         return None
     masses = np.zeros(hi - lo + 1)
     masses[[v - lo for v in base._mass]] = list(base._mass.values())
-    for layer, times in runs:
+    for layer, times in layers:
         weights = np.array([w for _, w in layer])[:, None]
         for _ in range(times):
             masses, lo = _shift_layer(masses, lo, layer, weights)
@@ -624,9 +598,13 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
 
     The fusion side condition is verified pointwise over a finite region of
     g's carrier: either ``carrier_values`` x ``alphabet`` when given (the two
-    go together), or the states actually reachable while folding the test
-    inputs. The pipelines themselves are then compared on every test input.
+    go together: one without the other is a DomainError), or the states
+    actually reachable while folding the test inputs. The pipelines
+    themselves are then compared on every test input.
     """
+    if (carrier_values is None) != (alphabet is None):
+        missing, given = ("an alphabet", "carrier_values") if alphabet is None else ("carrier_values", "an alphabet")
+        raise DomainError(f"fold_fusion_check needs {missing} to go with {given}")
     inputs = [xs if isinstance(xs, str) else tuple(xs) for xs in test_inputs]
 
     # each input's suffixes lie on its own fold's way: one loop per input
@@ -634,8 +612,6 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     g_folds = _fold_each(g_alg, inputs + [rest for _, rest in tails])
     points: list[tuple[Any, Any]] = []
     if carrier_values is not None:
-        if alphabet is None:
-            raise DomainError("fold_fusion_check needs an alphabet to go with carrier_values")
         points = [(a, s) for a in alphabet for s in carrier_values]
     else:
         seen = set()

@@ -117,11 +117,14 @@ def test_a_value_that_cannot_be_a_support_value_is_a_domain_error(value):
     ([(0, 0.5), (False, 0.5)], "0", "False"),
     ([(1.0, 0.5), (True, 0.5)], "1.0", "True"),
     ([((True, 0), 0.5), ((1, 0), 0.5)], "(True, 0)", "(1, 0)"),
+    # the monad's own merges: a Dist from a choice, or a marginal
+    pytest.param(partial(choice, 0.5, dirac(True), dirac(1)), "True", "1", id="choice"),
+    pytest.param(lambda: marginals(Dist({(True, 0): 0.5, (1, 1): 0.5}))[0], "True", "1", id="marginals"),
 ])
 def test_a_bool_and_the_number_it_equals_are_not_merged(support, first, second):
     # they used to merge into the first one's key: Dist({True: 1.0})
     with pytest.raises(DomainError) as err:
-        Dist(support)
+        support() if callable(support) else Dist(support)
     assert str(err.value) == f"support values {first} and {second} are equal, but a bool is not a number"
 
 

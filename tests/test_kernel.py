@@ -1,6 +1,8 @@
-"""The array kernels of for-loops over choices of affine pair-state branches,
-of banana-split folds over int pairs and of folds of shifts over ints,
-checked bit for bit against the dict path they replace."""
+"""The array kernels, checked bit for bit against the dict path they
+replace: the pair-state kernels of mutual and tupled for-loops over choices
+of affine branches and of banana-split folds over int pairs, and the dense
+array of folds of shifts over ints, each taking the layers that
+``schemes._affine_runs`` reads from a fold."""
 
 import itertools
 import math
@@ -415,7 +417,7 @@ _SCALED = st.builds(partial, st.just(_pair_value), st.integers(-1, 2), st.sample
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(left=_shift_choices(_SPLIT_ADDS), right=_shift_choices(_SPLIT_ADDS), base=_pair_bases(), n=st.integers(0, 12))
-def test_split_for_loops_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(left, right, base, n):
+def test_split_for_loops_on_the_pair_kernel_give_the_dict_path_bit_for_bit(left, right, base, n):
     step = _split(_FOR, left, right)
     n = _loop_count(n, schemes._folds(itertools.repeat(_opaque(step), n), base), len)
     with _counted_array_layers() as ran, _counted_shift_layers() as shifted:
@@ -437,7 +439,7 @@ def _split_list_folds(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(fold=_split_list_folds(), base=_pair_bases())
-def test_split_list_folds_of_shifts_on_a_dense_array_give_the_dict_path_bit_for_bit(fold, base):
+def test_split_list_folds_on_the_pair_kernel_give_the_dict_path_bit_for_bit(fold, base):
     step, xs = fold
     kept = _loop_count(len(xs), schemes._folds(_LIST.layers(_opaque(step), xs), base), len)
     xs = xs[len(xs) - kept:]  # the innermost elements, folded first

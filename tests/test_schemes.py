@@ -662,6 +662,10 @@ def test_fold_fusion_carrier_values_need_an_alphabet():
     with pytest.raises(DomainError, match="alphabet"):
         fold_fusion_check(post, fcat_algebra(0.1, ""), consolidated_count_algebra(0.1, 0.15), ["abc"],
                           carrier_values=["", "a"])
+    # an alphabet alone used to be ignored: the reachable states were checked instead
+    with pytest.raises(DomainError, match="needs carrier_values"):
+        fold_fusion_check(post, fcat_algebra(0.1, ""), consolidated_count_algebra(0.1, 0.15), ["abc"],
+                          alphabet="abc")
 
 
 # --- one fold loop: every sub-input's fold on the way -------------------------------
