@@ -82,7 +82,22 @@ def _sorted_support(values: dict) -> list:
 
 
 def _check_total(masses: Iterable[float]) -> None:
-    """DistributionError unless the (already pruned) masses total 1 within PROPER_TOL."""
+    """DistributionError unless the (already pruned) masses total 1 within PROPER_TOL.
+
+    ``masses`` is an iterable of floats, or a float64 numpy array of nonnegative
+    masses (an array kernel's layer). An array's ``sum`` s of n masses is off
+    their exact total S by at most gamma_(n-1) * S, gamma_k = k*u / (1 - k*u),
+    u = 2**-53, in any order of summation (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 4): at most n * 2**-52 * s while
+    n*u <= 1/4. When |s - 1| plus that bound is within PROPER_TOL less 2**-51,
+    which covers the rounding of fsum's total and of this test, fsum's total
+    is within PROPER_TOL too, and the array passes at once. Every other array
+    is summed by fsum, so the decision and the message are fsum's."""
+    if hasattr(masses, "tolist"):
+        s = float(masses.sum())
+        if abs(s - 1.0) + masses.size * 2**-52 * s <= PROPER_TOL - 2**-51:
+            return
+        masses = masses.ravel().tolist()
     total = math.fsum(masses)
     if abs(total - 1.0) > PROPER_TOL:
         raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
@@ -90,11 +105,29 @@ def _check_total(masses: Iterable[float]) -> None:
 
 def _check_merged(acc: dict, values: Iterable) -> None:
     """DomainError where one of ``values`` summed into an equal key of ``acc``
-    that is not alike (``dims._alike``): a bool and the number it equals."""
+    that is not alike (``dims._alike``): a bool and the number it equals. An
+    int and a float that merged are keyed by the int, in either order, and so
+    component by component in a tuple."""
     keys = dict(zip(acc, acc))
     for v in values:
-        if not _alike(keys[v], v):
-            raise DomainError(f"support values {keys[v]!r} and {v!r} are equal, but a bool is not a number")
+        key = keys[v]
+        if key is v:
+            continue
+        if not _alike(key, v):
+            raise DomainError(f"support values {key!r} and {v!r} are equal, but a bool is not a number")
+        new = _int_keyed(key, v)
+        if new is not key:  # an equal key keeps its first object: re-key by removing it
+            del keys[key]
+            keys[new] = new
+            acc[new] = acc.pop(key)
+
+
+def _int_keyed(a: Any, b: Any) -> Any:
+    """Of the equal, alike values ``a`` and ``b``, the one with an int where the other has a float."""
+    if type(a) is tuple:
+        keyed = tuple(map(_int_keyed, a, b))
+        return a if all(map(operator.is_, keyed, a)) else keyed
+    return b if type(a) is float and type(b) is int else a
 
 
 class _Masses(dict):
@@ -111,8 +144,8 @@ class Dist:
     """Immutable finite-support probability distribution.
 
     The constructor accepts a mapping or an iterable of (value, mass) pairs;
-    duplicate values accumulate, but a bool and the number it equals are a
-    DomainError. Each entry is canonicalised and checked for an unhashable
+    duplicate values accumulate, under the int where an int and a float are
+    equal, but a bool and the number it equals are a DomainError. Each entry is canonicalised and checked for an unhashable
     value and for NaN or negative mass, except when the monad's own
     operations pass their already-checked accumulator. Sub-distributions
     are always rejected -- the total mass must be 1 within ``PROPER_TOL`` --
@@ -140,7 +173,7 @@ class Dist:
                 except TypeError:  # only hashing the value can fail here
                     raise DomainError(f"unhashable support value {value!r}") from None
                 acc[value] = m if old is None else old + m
-                if old is not None:  # the first of the equal values keys their sum
+                if old is not None:  # their sum is keyed by the first, or by the int (_check_merged)
                     merged.append(value)
             if merged:
                 _check_merged(acc, merged)
@@ -278,7 +311,8 @@ def marginals(d: Dist) -> tuple[Dist, Dist]:
         b, c = v
         fst[b] = fst.get(b, 0.0) + m
         snd[c] = snd.get(c, 0.0) + m
-    if not set(map(type, chain.from_iterable(d._mass))) <= _SCALARS:  # a bool, or a tuple that may hold one
+    kinds = set(map(type, chain.from_iterable(d._mass)))
+    if not kinds <= _SCALARS or _NUMBERS <= kinds:  # a bool, a tuple that may hold one, or an int and a float
         _check_merged(fst, [b for b, _ in d._mass])
         _check_merged(snd, [c for _, c in d._mass])
     return Dist(fst), Dist(snd)

@@ -369,26 +369,78 @@ def _value_bound(forms: list[_Form], bounds: list[int]) -> int:
     return max(sum(map(operator.mul, map(abs, form), [*bounds, 1])) for form in forms)
 
 
-def _branch_outcomes(choice: tuple[list[float], list[_Form]],
-                     states: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_Choice.outcomes`` of a ``dist._affine_choice`` at N states (an int64
-    array per component, values kept in int64 by ``_value_bound``) at once, for
-    both views: at each state, each of the K branches' value, merged weight
-    and kept mask, all N x K. Branches that meet merge into the first, their
-    weights added in branch order, and a merged weight below PRUNE_EPS drops:
-    the floats, and at each state the order, that ``outcomes`` gives."""
+def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple], tuple[np.ndarray, np.ndarray]]:
+    """``_Choice.outcomes`` of a ``dist._affine_choice`` at many states at once,
+    for both views. Branches that meet merge into the first, their weights
+    added in branch order, and a merged weight below PRUNE_EPS drops: the
+    floats, and at each state the order, that ``outcomes`` gives.
+
+    The forms are read once, here: a branch of an earlier branch's form always
+    meets it and is never listed; two forms of the same coefficients and other
+    constants never meet; any other two meet only at some states. So where no
+    two branches meet only at some states, every merged weight is one float
+    for the whole run. Returns ``outcomes(states)``, which takes an int64
+    array per state component (shapes that broadcast to S; values kept in
+    int64 by ``_value_bound``) and gives, broadcasting to S x K for the K
+    branches of distinct forms, each one's value and its listed weight: the
+    merged weight where it is listed, 0.0 where it meets an earlier branch
+    or its merged weight drops. Values skip zero and unit coefficients."""
     weights, forms = choice
-    values = np.array([sum(map(operator.mul, form, states), form[-1]) for form in forms])
-    mass = np.empty(values.shape)
-    keep = np.ones(values.shape, dtype=bool)
-    for k, (w, v) in enumerate(zip(weights, values)):
-        mass[k] = w
-        for w_later, v_later in zip(weights[k + 1:], values[k + 1:]):
-            mass[k] = np.where(v_later == v, mass[k] + w_later, mass[k])
-        for v_earlier in values[:k]:  # a value met before is merged there
-            keep[k] &= v != v_earlier
-    keep &= mass >= PRUNE_EPS
-    return values.T, mass.T, keep.T
+    first = [forms.index(form) for form in forms]  # the branch whose form each one has first
+    heads = [k for k, j in enumerate(first) if j == k]  # one per distinct form, in branch order
+    terms = []  # (component, coefficients of the heads, or None where all are 1), zero columns skipped
+    for i in range(len(forms[0]) - 1):
+        a = [forms[k][i] for k in heads]
+        if any(a):
+            terms.append((i, None if set(a) == {1} else np.array(a, dtype=np.int64)))
+    constants = [forms[k][-1] for k in heads]
+    constants = np.array(constants, dtype=np.int64) if any(constants) or not terms else None
+
+    def sometimes(j: int, k: int) -> bool:
+        return forms[j][:-1] != forms[k][:-1]
+
+    # per head, its listed weight: one float for the whole run, or the steps
+    # that give it at each state: the weights to add in branch order, each
+    # with the column of the branch it meets only at some states (None: it
+    # always meets), the earlier columns whose value takes it, and whether it
+    # can drop below PRUNE_EPS
+    plans = []
+    for c, k in enumerate(heads):
+        adds = [(weights[l], heads.index(first[l]) if sometimes(k, l) else None)
+                for l in range(k + 1, len(forms)) if first[l] == k or sometimes(k, l)]
+        taken = [e for e, j in enumerate(heads[:c]) if sometimes(j, k)]
+        least = most = weights[k]  # float sums in branch order: no add at some states, each at others
+        for w, at in adds:
+            most += w
+            if at is None:
+                least += w
+        if not taken and all(at is None for _, at in adds):
+            plans.append(most if most >= PRUNE_EPS else 0.0)
+        else:
+            plans.append((weights[k], adds, taken, least < PRUNE_EPS))
+    row = None if any(isinstance(plan, tuple) for plan in plans) else np.array(plans)
+
+    def outcomes(states: tuple) -> tuple[np.ndarray, np.ndarray]:
+        values = constants
+        for i, a in terms:
+            term = states[i][..., None] if a is None else states[i][..., None] * a
+            values = term if values is None else values + term
+        if row is not None:
+            return values, row
+        mass = np.empty(values.shape)
+        for c, plan in enumerate(plans):
+            if not isinstance(plan, tuple):
+                mass[..., c] = plan
+                continue
+            m, adds, taken, light = plan
+            v = values[..., c]
+            for w, at in adds:
+                m = m + w if at is None else np.where(values[..., at] == v, m + w, m)
+            for e in taken:  # a value met before is merged there
+                m = np.where(values[..., e] == v, 0.0, m)
+            mass[..., c] = np.where(m >= PRUNE_EPS, m, 0.0) if light else m
+        return values, mass
+    return outcomes
 
 
 def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row_dim: Range, out: np.ndarray,
@@ -397,7 +449,9 @@ def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row
     (``dist._affine_choice``) whose values stay in int64: all branch values
     at once, as arrays. Escapes and the value strict mode names come in the
     loop's order, as Python ints and floats."""
-    rows, mass, keep = _branch_outcomes(choice, (np.arange(col_dim.n, dtype=np.int64),))
+    rows, mass = _branch_outcomes(choice)((np.arange(col_dim.n, dtype=np.int64),))
+    rows, mass = (np.broadcast_to(x, (col_dim.n, x.shape[-1])) for x in (rows, mass))
+    keep = mass > 0.0  # a listed weight is at least PRUNE_EPS
     rows, mass = rows[keep], mass[keep]
     cols = np.nonzero(keep)[0]
     inside = (rows >= 0) & (rows < row_dim.n)

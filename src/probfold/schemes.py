@@ -350,63 +350,77 @@ def _dist(arrays: tuple[np.ndarray, np.ndarray]) -> Dist:
     return Dist(_Masses(zip(values, masses.tolist())))
 
 
-def _gathered(keys: np.ndarray, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The masses ``moved`` to the support values ``keys`` (one column per
-    move) as ``bind`` gathers them: summed per value by one scatter-add, in
-    the order of the moves, then light sums dropped and the total checked.
-    The values come out in support order. A value no move reaches sums to
-    0.0 and drops with the light ones, so when the values span few slots per
-    move the slots are their offsets in that span; otherwise the moves are
-    sorted to number the values."""
-    lo = keys.min(axis=1)
-    spans = [hi - low + 1 for hi, low in zip(keys.max(axis=1).tolist(), lo.tolist())]
-    if math.prod(spans) <= _DENSE_SPAN * moved.size:
-        slots = np.ravel_multi_index(tuple(keys - lo[:, None]), spans)
-        masses = np.bincount(slots, weights=moved)
-        kept = np.flatnonzero(masses >= PRUNE_EPS)
-        values = np.array(np.unravel_index(kept, spans)) + lo[:, None]
+def _gathered(keys: tuple[np.ndarray, ...], moved: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masses ``moved`` (an array of moves) to the support values of
+    ``keys`` (one int64 array per component, each broadcasting to the moves'
+    shape) as ``bind`` gathers them: summed per value by one scatter-add, in
+    the order of the moves, then light sums dropped and the total checked. A
+    move of 0.0 adds nothing. The values come out in support order. Each
+    value is numbered by its offset in the box the keys span, in the order
+    of its components; a value no move reaches sums to 0.0 and drops with the
+    light ones, so when the box has few slots per move its offsets are the
+    slots; otherwise the numbers are sorted to slot the values, or, where the
+    box has 2**63 slots or more, the values themselves."""
+    lo = [int(k.min()) for k in keys]
+    spans = [int(k.max()) - low + 1 for k, low in zip(keys, lo)]
+    box, shape, moved = math.prod(spans), moved.shape, moved.ravel()
+    if box < 2**63:
+        slots = np.empty(moved.size, dtype=np.int64)
+        offsets = slots.reshape(shape)
+        np.subtract(keys[0], lo[0], out=offsets)
+        for k, low, span in zip(keys[1:], lo[1:], spans[1:]):  # int64 wraps, and the last sum fits
+            offsets *= span
+            offsets += k
+            offsets -= low
+        numbers = None
+        if box > _DENSE_SPAN * moved.size:
+            numbers, slots = np.unique(slots, return_inverse=True)
     else:
-        order = np.lexsort(keys[::-1])
-        ordered = keys[:, order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        slots = np.empty(order.size, dtype=np.intp)
-        slots[order] = np.cumsum(first) - 1
-        masses = np.bincount(slots, weights=moved)
-        kept = np.flatnonzero(masses >= PRUNE_EPS)
-        values = ordered[:, first][:, kept]
-    _check_total(masses[kept].tolist())
+        values, slots = np.unique(np.array([np.broadcast_to(k, shape).ravel() for k in keys]), axis=1,
+                                  return_inverse=True)
+    masses = np.bincount(slots, weights=moved)
+    kept = np.flatnonzero(masses >= PRUNE_EPS)
+    _check_total(masses[kept])
+    if box < 2**63:
+        offsets = kept if numbers is None else numbers[kept]
+        rests = []
+        for low, span in zip(lo[:0:-1], spans[:0:-1]):  # the last component first
+            offsets, rest = np.divmod(offsets, span)
+            rests.append(rest + low)
+        values = np.array([offsets + lo[0], *rests[::-1]])
+    else:
+        values = values[:, kept]
     return values, masses[kept]
 
 
-def _mutual_arrays(f: tuple, g: tuple, h: tuple, k: tuple) -> tuple[tuple, tuple]:
+def _mutual_arrays(f: tuple, g: tuple, h: Callable, k: Callable) -> tuple[tuple, tuple]:
     """``_mutual_layer`` on arrays: the joint of f and g as ``pair`` forms it
-    (products mb*mc, light ones dropped, its total checked), then each choice
-    bound to it. A state's outcomes are listed input by input, so the
-    scatter-add sums each value's masses in the order ``bind`` does."""
+    (products mb*mc, light ones set to 0.0, its total checked), then each
+    choice's ``matrix._branch_outcomes`` ``h`` and ``k`` bound to it. A state's
+    outcomes are listed input by input, so the scatter-add sums each value's
+    masses in the order ``bind`` does."""
     (fv, fm), (gv, gm) = f, g
-    joint = np.outer(fm, gm).ravel()
-    kept = joint >= PRUNE_EPS
-    states, joint = (np.repeat(fv[0], gv[0].size)[kept], np.tile(gv[0], fv[0].size)[kept]), joint[kept]
-    _check_total(joint.tolist())
+    joint = fm[:, None] * gm
+    joint[joint < PRUNE_EPS] = 0.0
+    _check_total(joint)
+    states = fv[0][:, None], gv[0]
     bound = []
-    for choice in (h, k):  # each state's outcomes in the order ``outcomes`` lists them, mass m*w
-        values, weights, keep = _branch_outcomes(choice, states)
-        bound.append(_gathered(values[keep][None], (joint[:, None] * weights)[keep]))
+    for outcomes in (h, k):  # each state's outcomes in the order ``outcomes`` lists them, mass m*w
+        values, weights = outcomes(states)
+        bound.append(_gathered((values,), joint[:, :, None] * weights))
     return tuple(bound)
 
 
-def _tupled_arrays(state: tuple, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``bind`` of a state of int pairs with the pairing of two choices, on
-    arrays: at each state, each left outcome with each right one, weight
-    mb*mc, light ones dropped, as ``_Pair.outcomes`` lists them; mass m*(mb*mc)."""
-    (s0, s1), m = state
-    lv, lw, lk = (x[:, :, None] for x in _branch_outcomes(left, (s0, s1)))
-    rv, rw, rk = (x[:, None, :] for x in _branch_outcomes(right, (s0, s1)))
-    weights = lw * rw
-    keep = lk & rk & (weights >= PRUNE_EPS)
-    keys = np.array([np.broadcast_to(lv, keep.shape)[keep], np.broadcast_to(rv, keep.shape)[keep]])
-    return _gathered(keys, (m[:, None, None] * weights)[keep])
+def _tupled_arrays(state: tuple, left: Callable, right: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """``bind`` of a state of int pairs with the pairing of two choices (their
+    ``matrix._branch_outcomes``), on arrays: at each state, each left outcome
+    with each right one, weight mb*mc, light ones set to 0.0, as
+    ``_Pair.outcomes`` lists them; mass m*(mb*mc)."""
+    keys, m = state
+    (lv, lw), (rv, rw) = left(keys), right(keys)
+    weights = lw[..., :, None] * rw[..., None, :]
+    weights[weights < PRUNE_EPS] = 0.0
+    return _gathered((lv[..., :, None], rv[..., None, :]), m[:, None, None] * weights)
 
 
 def _mutual_affine(runs: list[tuple[list, int, Any]], f: Dist, g: Dist) -> tuple[Dist, Dist] | None:
@@ -416,9 +430,9 @@ def _mutual_affine(runs: list[tuple[list, int, Any]], f: Dist, g: Dist) -> tuple
     if not _stays_int64((f.support, g.support), runs):
         return None
     f, g = _arrays(f), _arrays(g)
-    for choices, times, _ in runs:
+    for (h, k), times in _tables(runs):
         for _ in range(times):
-            f, g = _mutual_arrays(f, g, *choices)
+            f, g = _mutual_arrays(f, g, h, k)
     return _dist(f), _dist(g)
 
 
@@ -431,10 +445,20 @@ def _tupled_affine(runs: list[tuple[list, int, Any]], base: Dist) -> Dist | None
             or not _stays_int64(tuple(zip(*pairs)), runs)):
         return None
     state = _arrays(base)
-    for choices, times, _ in runs:
+    for (left, right), times in _tables(runs):
         for _ in range(times):
-            state = _tupled_arrays(state, *choices)
+            state = _tupled_arrays(state, left, right)
     return _dist(state)
+
+
+def _tables(runs: list[tuple[list, int, Any]]) -> Iterator[tuple[list[Callable], int]]:
+    """Each of ``runs`` (``_affine_runs``) as its choices' ``matrix._branch_outcomes``,
+    read once per distinct list element, and its number of layers."""
+    tables = {}
+    for choices, times, e in runs:
+        if e not in tables:
+            tables[e] = [_branch_outcomes(choice) for choice in choices]
+        yield tables[e], times
 
 
 def _affine_runs(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[list, int, Any]] | None:
@@ -445,8 +469,8 @@ def _affine_runs(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[li
     component, a for-loop's tupled ``_Pair`` two, and a banana-split step
     (``_Split``) of the fold's own functor two, each factor's form (a, c) of
     y, or (a, b, c) of (e, y), on its own component as k*y + c' with (k, c')
-    = (a, c) or (b, a*e + c). A list fold runs each element once where a
-    branch reads it (a != 0). None for any other fold, for one with no
+    = (a, c) or (b, a*e + c), placed once per distinct element. A list fold
+    runs each element once where a branch reads it (a != 0). None for any other fold, for one with no
     layers, and where an element is not an int and a branch reads it or is a
     partial ``_pair_value``, which takes 0*e (0.0 at a float e)."""
     if not isinstance(functor, (ForLoopF, ListF)):
@@ -467,8 +491,9 @@ def _affine_runs(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[li
         return None
     runs = [(e, 1) for e in elements] if ints and list_fold and any(form[0] for form, _ in branches) else [(0, n)]
     zeros = (0,) * len(choices)  # component i's forms over the whole state: k at i, c' = a*e + c (e = 0 in a for-loop)
-    return [([(weights, [(*zeros[:i], f[-2], *zeros[i + 1:], f[0] * e + f[-1]) for f in forms])
-              for i, (weights, forms) in enumerate(choices)], times, e) for e, times in runs]
+    placed = {e: [(weights, [(*zeros[:i], f[-2], *zeros[i + 1:], f[0] * e + f[-1]) for f in forms])
+                  for i, (weights, forms) in enumerate(choices)] for e in {e for e, _ in runs}}
+    return [(placed[e], times, e) for e, times in runs]
 
 
 def _shifted(functor: FunctorDesc, step: _Step, base: Dist, runs: list[tuple[list, int, Any]]) -> Dist | None:
@@ -477,23 +502,25 @@ def _shifted(functor: FunctorDesc, step: _Step, base: Dist, runs: list[tuple[lis
     shifts (k = 1), the base holds ints and the array has at most
     ``_DENSE_SPAN`` slots per value the fold surely reaches, |base| + sum_t
     (|S_t| - 1) for S_t layer t's shifts: the (c, w) the step's ``outcomes``
-    gives at the zero state and run element e, in descending c. None for any
-    other fold. The array spans the base and each layer's shifts."""
+    gives at the zero state and run element e, in descending c, read once per
+    distinct e. None for any other fold. The array spans the base and each
+    layer's shifts."""
     choices = runs[0][0]
     if len(choices) != 1 or any(k != 1 for k, _ in choices[0][1]) or not all(type(v) is int for v in base._mass):
         return None
     list_fold = isinstance(functor, ListF)
-    layers = [(sorted(step.outcomes((e, 0) if list_fold else 0), reverse=True), times) for _, times, e in runs]
+    shifts = {e: sorted(step.outcomes((e, 0) if list_fold else 0), reverse=True) for e in {e for _, _, e in runs}}
+    layers = [(shifts[e], times) for _, times, e in runs]
     lo, hi = min(base._mass), max(base._mass)
     reach = len(base) + sum(times * (len(layer) - 1) for layer, times in layers)
     if hi - lo + 1 + sum(times * (layer[0][0] - layer[-1][0]) for layer, times in layers) > _DENSE_SPAN * reach:
         return None
     masses = np.zeros(hi - lo + 1)
     masses[[v - lo for v in base._mass]] = list(base._mass.values())
-    for layer, times in layers:
-        weights = np.array([w for _, w in layer])[:, None]
+    weights = {e: np.array([w for _, w in layer])[:, None] for e, layer in shifts.items()}
+    for _, times, e in runs:
         for _ in range(times):
-            masses, lo = _shift_layer(masses, lo, layer, weights)
+            masses, lo = _shift_layer(masses, lo, shifts[e], weights[e])
     kept = masses.nonzero()[0]
     return Dist(_Masses(zip([lo + i for i in kept.tolist()], masses[kept].tolist())))
 
@@ -506,7 +533,7 @@ def _shift_layer(masses: np.ndarray, lo: int, layer: list, weights: np.ndarray) 
     for (c, _), row in zip(layer, weights * masses):
         moved[c - low:c - low + masses.size] += row
     np.putmask(moved, moved < PRUNE_EPS, 0.0)
-    _check_total(moved.tolist())
+    _check_total(moved)
     kept = moved.nonzero()[0]
     return moved[kept[0]:kept[-1] + 1], lo + low + int(kept[0])
 

@@ -4,6 +4,7 @@ import math
 import operator
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,21 @@ def test_a_bool_and_the_number_it_equals_are_not_merged(support, first, second):
     with pytest.raises(DomainError) as err:
         support() if callable(support) else Dist(support)
     assert str(err.value) == f"support values {first} and {second} are equal, but a bool is not a number"
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda a, b: Dist([(a, 0.5), (b, 0.5)]), id="constructor"),
+    pytest.param(lambda a, b: choice(0.5, dirac(a), dirac(b)), id="choice"),
+    pytest.param(lambda a, b: marginals(Dist({(a, 0): 0.5, (b, 1): 0.5}))[0], id="marginals"),
+])
+def test_an_int_and_a_float_that_merge_are_keyed_by_the_int_in_either_order(make):
+    # they used to be keyed by whichever came first: Dist({1.0: 1.0}) for 1.0 first
+    for a, b in ((1.0, 1), (1, 1.0)):
+        d = make(a, b)
+        assert [type(v) for v in d.support] == [int]
+        assert render_lines(d) == ["1\t100.0%"]
+    for a, b in (((1.0, 2), (1, 2.0)), ((1, 2.0), (1.0, 2))):
+        assert [tuple(map(type, v)) for v in Dist([(a, 0.5), (b, 0.5)]).support] == [(int, int)]
 
 
 def test_equal_numbers_and_equal_bools_still_merge():
@@ -638,3 +654,85 @@ def test_render_sorts_by_mass_then_value():
 def test_render_quotes_strings():
     d = Dist({"": 0.5, "ab": 0.5})
     assert render_lines(d) == ['""\t50.0%', '"ab"\t50.0%']
+
+
+# --- the certified total check of an array of masses -----------------------
+
+def _edge_targets():
+    """Totals a few ulps from 1 +- PROPER_TOL, or on one of those floats."""
+    return st.tuples(st.sampled_from([1.0 + PROPER_TOL, 1.0 - PROPER_TOL, _HI, _LO]), st.integers(-4, 4)).map(
+        lambda ts: _steps(*ts))
+
+
+def _steps(total, steps):
+    for _ in range(abs(steps)):
+        total = math.nextafter(total, math.copysign(2.0, steps))
+    return total
+
+
+@st.composite
+def _spread_masses(draw):
+    """1 to 10**5 masses spread over many magnitudes, some zero, scaled so that their fsum total is ``target``."""
+    n = draw(st.sampled_from([1, 2, 3, 10**5]) | st.integers(1, 10**5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = rng.random(n) ** draw(st.integers(1, 8)) * (rng.random(n) > draw(st.sampled_from([0.0, 0.1, 0.5])))
+    masses[rng.integers(n)] += 1.0  # at least one mass that takes the nudge below
+    target = draw(_edge_targets())
+    masses *= target / math.fsum(masses.tolist())
+    big = int(np.argmax(masses))
+    for _ in range(3):  # nudge the largest mass until fsum lands on the target
+        masses[big] += target - math.fsum(masses.tolist())
+    return masses
+
+
+def _np_sum_rounds_away(total: float, pairs: int) -> np.ndarray:
+    """[b, 0 x 7, u, 0 x 7, u, ...] with u half an ulp of b, b's last bit 0 and
+    fsum total b + k*u ``total``, for k = 2 * ``pairs`` or 2 fewer: numpy's
+    pairwise sum adds every u into b's accumulator, where b + u rounds back
+    to b, so its sum is k/2 ulps below the exact total."""
+    k, u = 2 * pairs, math.ulp(total) / 2
+    if (total - k * u) / math.ulp(total) % 2:
+        k -= 2 if k > 2 else -2
+    masses = np.zeros(8 * (k + 1))
+    masses[0], masses[8::8] = total - k * u, u
+    return masses
+
+
+def _total_outcome(masses):
+    try:
+        _check_total(masses)
+    except DistributionError as err:
+        return str(err)
+    return None
+
+
+@given(_spread_masses() | st.builds(_np_sum_rounds_away, _edge_targets(), st.integers(1, 7)))
+@example(_np_sum_rounds_away(math.nextafter(_HI, 2.0), 7)).via("np.sum within 1 + tol, fsum one ulp past it")
+@example(_np_sum_rounds_away(math.nextafter(_LO, 0.0), 7)).via("np.sum within 1 - tol, fsum one ulp past it")
+def test_the_array_check_raises_exactly_when_fsum_would(masses):
+    assert (masses >= 0.0).all()
+    assert _total_outcome(masses) == _total_outcome(masses.tolist())
+
+
+def _fsum_calls(monkeypatch):
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    return calls
+
+
+def test_an_array_well_within_the_tolerance_passes_without_fsum(monkeypatch):
+    calls = _fsum_calls(monkeypatch)
+    _check_total(np.full(1000, 1e-3))
+    assert calls == []
+
+
+def test_an_array_the_bound_cannot_decide_goes_to_fsum(monkeypatch):
+    # the largest total fsum passes: np.sum's error bound reaches past PROPER_TOL
+    calls = _fsum_calls(monkeypatch)
+    _check_total(np.array([_HI - 0.5, 0.5]))
+    assert calls == [1]
+    with pytest.raises(DistributionError) as err:
+        _check_total(np.array([math.nextafter(_HI, 2.0) - 0.5, 0.5]))
+    assert calls == [1, 1]
+    assert str(err.value) == f"total mass {math.nextafter(_HI, 2.0)!r} is not 1 (within {PROPER_TOL})"

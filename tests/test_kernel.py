@@ -221,6 +221,23 @@ def test_a_loop_that_stays_in_int64_runs_on_arrays():
     assert [d.items() for d in results] == [d.items() for d in mutual_eval(_FOR, _reference(h), _reference(k), 3)]
 
 
+def test_states_spanning_2_63_slots_or_more_run_on_arrays_unchanged():
+    # no slot number in the box the values span fits in int64: the layer
+    # sorts the values themselves
+    spread = _Choice(((0.3, partial(_pair_value, 1, 0, 5)), (0.7, partial(_pair_value, -1, 0, -3))))
+    shift = _Choice(((0.4, _second), (0.6, partial(_pair_value, 0, 1, 7))))
+    pairs = Dist({(-2**40, -2**41): 0.25, (2**40, 2**41): 0.5, (3, -2**35): 0.25})
+    ends = Algebra(_FOR, Dist({-2**62: 0.5, 2**62: 0.5}), _Choice(((0.5, partial(_pair_value, 1, 0, 0)),
+                                                                   (0.5, partial(_pair_value, -1, 0, 0)))))
+    fixed = Algebra(_FOR, dirac(0), _Choice(((1.0, _second),)))
+    with _counted_array_layers() as ran:
+        folded = cata_eval(_FOR, Algebra(_FOR, pairs, _paired(spread, shift)), 5)
+        results = mutual_eval(_FOR, ends, fixed, 3)
+    assert ran["layers"] == 5 + 3
+    assert folded.items() == cata_eval(_FOR, Algebra(_FOR, pairs, _paired(_opaque(spread), _opaque(shift))), 5).items()
+    assert [d.items() for d in results] == [d.items() for d in mutual_eval(_FOR, _reference(ends), fixed, 3)]
+
+
 def test_array_results_hold_python_ints_and_name_no_numpy_type():
     h, k = sq_algebras(0.2)
     with _counted_array_layers() as ran:
