@@ -145,7 +145,8 @@ class Dist:
 
     The constructor accepts a mapping or an iterable of (value, mass) pairs;
     duplicate values accumulate, under the int where an int and a float are
-    equal, but a bool and the number it equals are a DomainError. Each entry is canonicalised and checked for an unhashable
+    equal, but a bool and the number it equals are a DomainError. Each entry
+    is canonicalised and checked for an unhashable
     value and for NaN or negative mass, except when the monad's own
     operations pass their already-checked accumulator. Sub-distributions
     are always rejected -- the total mass must be 1 within ``PROPER_TOL`` --
