@@ -402,22 +402,19 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
     # per head, its listed weight: one float for the whole run, or the steps
     # that give it at each state: the weights to add in branch order, each
     # with the column of the branch it meets only at some states (None: it
-    # always meets), the earlier columns whose value takes it, and whether it
-    # can drop below PRUNE_EPS
+    # always meets), and the earlier columns whose value takes it
     plans = []
     for c, k in enumerate(heads):
         adds = [(weights[l], heads.index(first[l]) if sometimes(k, l) else None)
                 for l in range(k + 1, len(forms)) if first[l] == k or sometimes(k, l)]
         taken = [e for e, j in enumerate(heads[:c]) if sometimes(j, k)]
-        least = most = weights[k]  # float sums in branch order: no add at some states, each at others
-        for w, at in adds:
-            most += w
-            if at is None:
-                least += w
-        if not taken and all(at is None for _, at in adds):
-            plans.append(most if most >= PRUNE_EPS else 0.0)
-        else:
-            plans.append((weights[k], adds, taken, least < PRUNE_EPS))
+        if taken or any(at is not None for _, at in adds):
+            plans.append((weights[k], adds, taken))
+            continue
+        m = weights[k]
+        for w, _ in adds:  # in branch order
+            m += w
+        plans.append(m if m >= PRUNE_EPS else 0.0)
     row = None if any(isinstance(plan, tuple) for plan in plans) else np.array(plans)
 
     def outcomes(states: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -432,13 +429,13 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
             if not isinstance(plan, tuple):
                 mass[..., c] = plan
                 continue
-            m, adds, taken, light = plan
+            m, adds, taken = plan
             v = values[..., c]
             for w, at in adds:
                 m = m + w if at is None else np.where(values[..., at] == v, m + w, m)
             for e in taken:  # a value met before is merged there
                 m = np.where(values[..., e] == v, 0.0, m)
-            mass[..., c] = np.where(m >= PRUNE_EPS, m, 0.0) if light else m
+            mass[..., c] = np.where(m >= PRUNE_EPS, m, 0.0)
         return values, mass
     return outcomes
 
@@ -450,7 +447,13 @@ def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row
     at once, as arrays. Escapes and the value strict mode names come in the
     loop's order, as Python ints and floats."""
     rows, mass = _branch_outcomes(choice)((np.arange(col_dim.n, dtype=np.int64),))
-    rows, mass = (np.broadcast_to(x, (col_dim.n, x.shape[-1])) for x in (rows, mass))
+    listed = []
+    for x in (rows, mass):
+        if x.ndim == 1:  # a run-wide weight row, or constant branches: repeated per input, contiguous to index
+            x, row = np.empty((col_dim.n, x.size), dtype=x.dtype), x
+            x[...] = row
+        listed.append(x)
+    rows, mass = listed
     keep = mass > 0.0  # a listed weight is at least PRUNE_EPS
     rows, mass = rows[keep], mass[keep]
     cols = np.nonzero(keep)[0]

@@ -355,16 +355,15 @@ def _gathered(keys: tuple[np.ndarray, ...], moved: np.ndarray) -> tuple[np.ndarr
     ``keys`` (one int64 array per component, each broadcasting to the moves'
     shape) as ``bind`` gathers them: summed per value by one scatter-add, in
     the order of the moves, then light sums dropped and the total checked. A
-    move of 0.0 adds nothing. The values come out in support order. Each
-    value is numbered by its offset in the box the keys span, in the order
-    of its components; a value no move reaches sums to 0.0 and drops with the
-    light ones, so when the box has few slots per move its offsets are the
-    slots; otherwise the numbers are sorted to slot the values, or, where the
-    box has 2**63 slots or more, the values themselves."""
+    move of 0.0 adds nothing. The values come out in support order. A value
+    no move reaches sums to 0.0 and drops with the light ones, so when the
+    box the keys span has few slots per move, each value's slot is its
+    offset in the box, in the order of its components; otherwise the values
+    are sorted to number them."""
     lo = [int(k.min()) for k in keys]
     spans = [int(k.max()) - low + 1 for k, low in zip(keys, lo)]
-    box, shape, moved = math.prod(spans), moved.shape, moved.ravel()
-    if box < 2**63:
+    shape, moved = moved.shape, moved.ravel()
+    if math.prod(spans) <= _DENSE_SPAN * moved.size:
         slots = np.empty(moved.size, dtype=np.int64)
         offsets = slots.reshape(shape)
         np.subtract(keys[0], lo[0], out=offsets)
@@ -372,24 +371,25 @@ def _gathered(keys: tuple[np.ndarray, ...], moved: np.ndarray) -> tuple[np.ndarr
             offsets *= span
             offsets += k
             offsets -= low
-        numbers = None
-        if box > _DENSE_SPAN * moved.size:
-            numbers, slots = np.unique(slots, return_inverse=True)
-    else:
-        values, slots = np.unique(np.array([np.broadcast_to(k, shape).ravel() for k in keys]), axis=1,
-                                  return_inverse=True)
-    masses = np.bincount(slots, weights=moved)
-    kept = np.flatnonzero(masses >= PRUNE_EPS)
-    _check_total(masses[kept])
-    if box < 2**63:
-        offsets = kept if numbers is None else numbers[kept]
-        rests = []
+        masses = np.bincount(slots, weights=moved)
+        kept = np.flatnonzero(masses >= PRUNE_EPS)
+        offsets, rests = kept, []
         for low, span in zip(lo[:0:-1], spans[:0:-1]):  # the last component first
             offsets, rest = np.divmod(offsets, span)
             rests.append(rest + low)
         values = np.array([offsets + lo[0], *rests[::-1]])
     else:
-        values = values[:, kept]
+        keys = np.array([np.broadcast_to(k, shape).ravel() for k in keys])
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        slots = np.empty(order.size, dtype=np.intp)
+        slots[order] = np.cumsum(first) - 1
+        masses = np.bincount(slots, weights=moved)
+        kept = np.flatnonzero(masses >= PRUNE_EPS)
+        values = ordered[:, first][:, kept]
+    _check_total(masses[kept])
     return values, masses[kept]
 
 
