@@ -207,9 +207,8 @@ def fsum(p: float, xs) -> Dist:
 
 
 def pipeline_count_cat(p: float, q: float, xs) -> Dist:
-    """Lossy copy piped into faulty counting. Each distinct copy is counted
-    once, and a copy resumes from the count of its longest suffix already
-    counted."""
+    """Lossy copy piped into faulty counting. Counting reads no element, so
+    copies of one length share one count, from one chain over the longest."""
     copies = fcat(p, xs)
     counts = dict(zip(copies.support, _fold_each(fcount_algebra(q), copies.support)))
     return bind(copies, counts.__getitem__)

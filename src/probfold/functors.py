@@ -41,9 +41,10 @@ class FunctorDesc:
         raise DomainError(f"no monadic catamorphism for functor {self}")
 
     def _sub_inputs(self, value: Any) -> Sequence:
-        """Validate a fold input and return the sub-inputs its fold passes
-        through, innermost first and ending with ``value``: one more than
-        its layers."""
+        """Validate a fold input and return keys of the sub-inputs its fold
+        passes through, innermost first and ending with ``value``'s: one more
+        than its layers. Two inputs share a key only where their folds are
+        the same."""
         raise DomainError(f"no monadic catamorphism for functor {self}")
 
 
@@ -126,7 +127,8 @@ class ListF(FunctorDesc):
 
     def _sub_inputs(self, value: Any) -> Sequence:
         seq = self._sequence(value)
-        seq = tuple(seq) if isinstance(seq, list) else seq
+        # elements by repr: 1, 1.0 and True are equal, but a step can tell them apart
+        seq = seq if isinstance(seq, str) else tuple(map(repr, seq))
         return [seq[i:] for i in range(len(seq), -1, -1)]
 
     @staticmethod

@@ -22,7 +22,8 @@ import numpy as np
 
 from .dims import _MEMO_SIZE, Dim, Range, UNIT
 from .dist import (_INT64, PROPER_TOL, PRUNE_EPS, Dist, DomainError, _affine_choice, _as_step, _check_total,
-                   _Masses, _Pair, _paired, _Step, bind, choice, dirac, marginals, pair, tv_distance)
+                   _Masses, _Pair, _paired, _Step, bind, canonical_value, choice, dirac, marginals, pair,
+                   tv_distance)
 from .functors import ForLoopF, FunctorDesc, ListF
 from .matrix import (
     Matrix,
@@ -81,16 +82,27 @@ def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: 
 def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
     """The fold of each of ``inputs``. Each input's loop resumes from its
     longest sub-input already folded, so every distinct sub-input is folded
-    once."""
-    functor, memo, folds = alg.functor, {}, []
+    once. A list fold whose step is a choice of affine branches none of which
+    reads the element (``_reads_element``) is a for-loop over the input's
+    length, so inputs of one length share one fold."""
+    functor, step, memo, folds = alg.functor, _as_step(alg.step), {}, []
+    affine = isinstance(functor, ListF) and _affine_choice(step, 2)
+    if affine and not any(_reads_element(form, f) for form, (_, f) in zip(affine[1], step)):
+        functor, step, inputs = _FOR, step.after(_unread), map(len, map(_LIST._sequence, inputs))
     for value in inputs:
         subs = functor._sub_inputs(value)
-        known = next((i for i in range(len(subs) - 1, -1, -1) if subs[i] in memo), None)
-        base, start = (alg.base, 0) if known is None else (memo[subs[known]], known)
-        layers = islice(functor.layers(alg.step, value), start, None)
-        memo.update(zip(subs[start:], _folds(layers, base)))
+        if subs[-1] not in memo:
+            known = next((i for i in range(len(subs) - 2, -1, -1) if subs[i] in memo), None)
+            base, start = (alg.base, 0) if known is None else (memo[subs[known]], known)
+            layers = islice(functor.layers(step, value), start, None)
+            memo.update(zip(subs[start:], _folds(layers, base)))
         folds.append(memo[subs[-1]])
     return folds
+
+
+def _unread(y: Any) -> tuple:
+    """The (element, state) input of a list step that reads no element."""
+    return None, y
 
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:
@@ -487,13 +499,20 @@ def _affine_runs(functor: FunctorDesc, step: _Step, value: Any) -> list[tuple[li
         return [(choices, n, 0)]
     branches = [(form, f) for (_, forms), factor in zip(choices, factors) for form, (_, f) in zip(forms, factor)]
     ints = all(type(e) is int for e in elements)
-    if not ints and any(form[0] or type(f) is partial for form, f in branches):
+    if not ints and any(_reads_element(form, f) for form, f in branches):
         return None
     runs = [(e, 1) for e in elements] if ints and list_fold and any(form[0] for form, _ in branches) else [(0, n)]
     zeros = (0,) * len(choices)  # component i's forms over the whole state: k at i, c' = a*e + c (e = 0 in a for-loop)
     placed = {e: [(weights, [(*zeros[:i], f[-2], *zeros[i + 1:], f[0] * e + f[-1]) for f in forms])
                   for i, (weights, forms) in enumerate(choices)] for e in {e for e, _ in runs}}
     return [(placed[e], times, e) for e, times in runs]
+
+
+def _reads_element(form: tuple, f: Callable) -> bool:
+    """Whether a list step's affine branch ``f``, of form (a, b, c) over
+    (e, y), can give a value that depends on the element e: where a != 0,
+    and for a partial ``_pair_value``, which takes 0*e (0.0 at a float e)."""
+    return bool(form[0]) or type(f) is partial
 
 
 def _shifted(functor: FunctorDesc, step: _Step, base: Dist, runs: list[tuple[list, int, Any]]) -> Dist | None:
@@ -627,12 +646,14 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     g's carrier: either ``carrier_values`` x ``alphabet`` when given (the two
     go together: one without the other is a DomainError), or the states
     actually reachable while folding the test inputs. The pipelines
-    themselves are then compared on every test input.
+    themselves are then compared on every test input. A test input that is
+    not a string, list or tuple is a DomainError, as in ``cata_eval``; the
+    others are folded as ``canonical_value`` gives them, lists as tuples.
     """
     if (carrier_values is None) != (alphabet is None):
         missing, given = ("an alphabet", "carrier_values") if alphabet is None else ("carrier_values", "an alphabet")
         raise DomainError(f"fold_fusion_check needs {missing} to go with {given}")
-    inputs = [xs if isinstance(xs, str) else tuple(xs) for xs in test_inputs]
+    inputs = [canonical_value(_LIST._sequence(xs)) for xs in test_inputs]
 
     # each input's suffixes lie on its own fold's way: one loop per input
     tails = [(xs[i], xs[i + 1:]) for xs in inputs for i in range(len(xs))]

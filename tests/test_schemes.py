@@ -5,8 +5,12 @@ import math
 import sys
 import time
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probfold.cases import (
     fadd,
@@ -20,7 +24,8 @@ from probfold.cases import (
     sq_algebras,
 )
 from probfold.dims import Product, Range, UNIT
-from probfold.dist import Dist, DomainError, ProbFn, bind, choice, dirac, marginals, pair, tv_distance
+from probfold.dist import (Dist, DomainError, ProbFn, _Choice, _pair_value, _plus_one, _plus_two, _second, _sum, bind,
+                           choice, dirac, marginals, pair, tv_distance)
 from probfold.functors import CompF, ConstF, ForLoopF, IdF, ListF, SumF
 from probfold.matrix import (
     Matrix,
@@ -668,6 +673,27 @@ def test_fold_fusion_carrier_values_need_an_alphabet():
                           alphabet="abc")
 
 
+
+@pytest.mark.parametrize("bad", [5, None, {"a": 1}, b"ab"], ids=["int", "None", "dict", "bytes"])
+def test_fold_fusion_refuses_a_test_input_that_is_not_a_sequence(bad):
+    # each was taken through tuple(): a raw TypeError, or a dict folded over its keys
+    post = lambda s: cata_eval(_LIST, fcount_algebra(0.15), s)
+    with pytest.raises(DomainError) as own:
+        cata_eval(_LIST, fcat_algebra(0.1, ""), bad)
+    with pytest.raises(DomainError) as checked:
+        fold_fusion_check(post, fcat_algebra(0.1, ""), consolidated_count_algebra(0.1, 0.15), ["ab", bad])
+    assert str(checked.value) == str(own.value) == f"input {bad!r} is not a sequence"
+
+
+def test_fold_fusion_folds_a_nested_list_input_as_cata_eval_does():
+    post = lambda s: cata_eval(_LIST, fcount_algebra(0.15), s)
+    copy, count = fcat_algebra(0.1, ()), consolidated_count_algebra(0.1, 0.15)
+    report = fold_fusion_check(post, copy, count, [[1, [2]]])
+    assert report.ok
+    pipeline = bind(cata_eval(_LIST, copy, [1, [2]]), post)
+    assert report.pipeline_dev == tv_distance(pipeline, cata_eval(_LIST, count, [1, [2]]))
+
+
 # --- one fold loop: every sub-input's fold on the way -------------------------------
 
 def _items(dists):
@@ -722,6 +748,100 @@ def test_list_layers_are_built_lazily_but_check_their_input_when_asked():
         _LIST.layers(step, 5)
     layers = _LIST.layers(step, "abc")
     assert iter(layers) is layers and len(list(layers)) == 3
+
+
+# _fold_each: a list step of affine branches that read no element folds once per length
+_BLIND_STEPS = [_Choice(((0.3, _second), (0.7, _plus_one))), _Choice(((1.0, _plus_two),)),
+                _Choice(((0.1, _plus_two), (0.2, _second), (0.7, _plus_one)))]
+_READING_STEPS = [_Choice(((0.25, _second), (0.75, _sum))),
+                  _Choice(((0.4, _plus_one), (0.6, functools.partial(_pair_value, 2, 1, -1)))),
+                  _Choice(((0.4, _plus_one), (0.6, functools.partial(_pair_value, 0, 1, 1))))]
+
+
+def _by_element_type(av):
+    """An opaque step that reads its element's type."""
+    return dirac(av[1] + 1) if isinstance(av[0], float) else choice(0.5, dirac(av[1]), dirac(av[1] + 2))
+
+
+# floats equal to ints among them: 1.0 == 1, but a step can tell them apart
+_NUMBER_INPUTS = st.one_of(st.lists(st.integers(-1, 2), max_size=4).map(tuple),
+                           st.lists(st.integers(-1, 2), max_size=4),
+                           st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0]), max_size=4).map(tuple))
+_ANY_INPUTS = st.one_of(st.text("ab", max_size=4), _NUMBER_INPUTS)
+
+
+@st.composite
+def _fold_inputs(draw, kinds):
+    """Inputs of ``kinds``, with a repeat and the empty input, in any order."""
+    inputs = draw(st.lists(kinds, min_size=1, max_size=6))
+    inputs += [draw(st.sampled_from(inputs)), draw(st.sampled_from(["", ()]))]
+    return draw(st.permutations(inputs))
+
+
+def _bits(dists):
+    return [repr(d.items()) for d in dists]
+
+
+@pytest.mark.parametrize("step, kinds", [(s, _ANY_INPUTS) for s in _BLIND_STEPS] +
+                         [(s, _NUMBER_INPUTS) for s in _READING_STEPS] + [(_by_element_type, _ANY_INPUTS)],
+                         ids=["second+1", "plus2", "plus2+second+1", "sum", "pair_value(2,1,-1)",
+                              "pair_value(0,1,1)", "opaque"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fold_each_gives_each_inputs_own_fold_bit_for_bit(step, kinds, data):
+    from probfold.schemes import _fold_each, _folds, _last
+
+    inputs = data.draw(_fold_inputs(kinds))
+    base = data.draw(st.sampled_from([dirac(0), Dist({0: 0.5, 2: 0.5})]))
+    own = [_last(_folds(_LIST.layers(step, xs), base)) for xs in inputs]
+    folds = _fold_each(Algebra(_LIST, base, step), (xs for xs in inputs))
+    assert folds == own
+    assert [d.items() for d in folds] == [d.items() for d in own]
+    assert _bits(folds) == _bits(own)
+
+
+def test_fold_each_keeps_float_and_int_elements_apart():
+    from probfold.schemes import _fold_each
+
+    # 0*e + y + 1 is a float at a float element e: same length, not the same fold
+    step = _Choice(((0.4, _second), (0.6, functools.partial(_pair_value, 0, 1, 1))))
+    inputs = [(0.5, 2.5), (1, 2), (1.0, 2.0), (2,), (2.0,)]
+    folds = _fold_each(Algebra(_LIST, dirac(0), step), inputs)
+    assert _bits(folds) == _bits(fold_list(step, dirac(0), xs) for xs in inputs)
+    assert len(set(_bits(folds))) == 4 and _bits(folds[:1]) == _bits(folds[2:3])
+    assert all(type(v) is float for d in folds[::2] for v in d.support if v)
+
+
+def test_fold_each_of_no_inputs_is_empty_and_refuses_a_non_sequence():
+    from probfold.schemes import _fold_each
+
+    for alg in (fcount_algebra(0.1), fcat_algebra(0.1, "")):
+        assert _fold_each(alg, []) == []
+        assert _fold_each(alg, iter(())) == []
+        with pytest.raises(DomainError) as own:
+            cata_eval(_LIST, alg, 5)
+        with pytest.raises(DomainError) as each:
+            _fold_each(alg, ["ab", "", 5])
+        assert str(each.value) == str(own.value) == "input 5 is not a sequence"
+
+
+def test_pipeline_count_cat_folds_each_copy_length_once():
+    from probfold import schemes
+    from probfold.cases import pipeline_count_cat
+
+    letters = "abcdefghijkl"
+    calls = []
+
+    def counted(d, k):
+        calls.append(k)
+        return bind(d, k)
+    expected = pipeline_count_cat(0.12, 0.08, letters)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "bind", counted)
+        result = pipeline_count_cat(0.12, 0.08, letters)
+    # a layer per letter for the copy and one per length for the counts
+    assert len(calls) <= 2 * (len(letters) + 1)
+    assert result.items() == expected.items()
 
 
 # --- pairing any two continuations is a step ---------------------------------------------
