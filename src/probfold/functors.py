@@ -43,8 +43,8 @@ class FunctorDesc:
     def _sub_inputs(self, value: Any) -> Sequence:
         """Validate a fold input and return keys of the sub-inputs its fold
         passes through, innermost first and ending with ``value``'s: one more
-        than its layers. Two inputs share a key only where their folds are
-        the same."""
+        than its layers. Elements that are equal but not alike (1, 1.0 and
+        True) give different keys."""
         raise DomainError(f"no monadic catamorphism for functor {self}")
 
 
