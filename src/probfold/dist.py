@@ -154,7 +154,7 @@ class Dist:
     test scaffolding).
     """
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_mass", "_keys")
 
     def __init__(self, support: dict | Iterable[tuple[Any, float]]):
         if type(support) is _Masses:
@@ -205,7 +205,16 @@ class Dist:
     def mass(self, value: Any) -> float:
         """The mass at ``value``, 0.0 off the support; a bool is not the number it equals."""
         value = canonical_value(value)
-        return next((m for v, m in self._mass.items() if v == value and _alike(v, value)), 0.0)
+        try:
+            keys = self._keys
+        except AttributeError:  # built at the first lookup, as most Dists get none
+            keys = self._keys = dict(zip(self._mass, self._mass))
+        try:
+            v = keys.get(value)  # None is never a support value
+        except TypeError:  # nor is an unhashable one
+            return 0.0
+        # ``v == value`` for the one value found by identity that is not equal to itself, a nan
+        return self._mass[v] if v is not None and v == value and _alike(v, value) else 0.0
 
     def items(self) -> tuple[tuple[Any, float], ...]:
         return tuple(self._mass.items())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Iterable, Sequence
 
-from .dims import Dim, Product, Sum, UNIT
+from .dims import Dim, Product, Sum, UNIT, _same
 from .dist import DomainError, _as_step
 from .matrix import Matrix, identity, kron, oplus
 
@@ -126,10 +126,8 @@ class ListF(FunctorDesc):
         return (_as_step(step).after(lambda s, a=a: (a, s)) for a in reversed(self._sequence(value)))
 
     def _sub_inputs(self, value: Any) -> Sequence:
-        seq = self._sequence(value)
-        # elements by repr: 1, 1.0 and True are equal, but a step can tell them apart
-        seq = seq if isinstance(seq, str) else tuple(map(repr, seq))
-        return [seq[i:] for i in range(len(seq), -1, -1)]
+        seq = tuple(self._sequence(value))
+        return [_Key(seq[i:]) for i in range(len(seq), -1, -1)]
 
     @staticmethod
     def _sequence(value: Any) -> Any:
@@ -139,6 +137,23 @@ class ListF(FunctorDesc):
 
     def on_value(self, fn: Callable, v: Any) -> Any:
         return v[0], fn(v[1])
+
+
+class _Key:
+    """A tuple of list elements as a dict key, equal to another only where
+    their elements are equal and agree in type (``dims._same``): 1, 1.0 and
+    True are equal, but a step can tell them apart."""
+
+    __slots__ = ("items", "_hash")
+
+    def __init__(self, items: tuple):
+        self.items, self._hash = items, hash(items)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Key and self.items == other.items and _same(self.items, other.items)
 
 
 @dataclass(frozen=True)

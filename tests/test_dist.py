@@ -150,6 +150,24 @@ def test_equal_numbers_and_equal_bools_still_merge():
     assert Dist([(False, 0.5), (2, 0.5)]).support == (False, 2)
 
 
+def test_mass_lookup_gives_the_scans_answers():
+    from probfold.dims import _alike
+    from probfold.dist import canonical_value
+
+    nan = float("nan")
+    dists = [Dist({nan: 0.25, 1: 0.25, 2.5: 0.25, (1, True): 0.25}), Dist({True: 0.5, 0: 0.5}),
+             Dist({(1.0, 2): 0.5, "x": 0.5}), Dist({(nan,): 1.0}), Dist({i: 1 / 64 for i in range(64)})]
+    probes = [nan, float("nan"), (nan,), (float("nan"),), 1, 1.0, True, False, 0, 0.0, 2.5, (1, True), [1, True],
+              (1, 1), (True, True), (1.0, 2), (1, 2), [1.0, 2], (True, 2), "x", "y", 63, 63.0, 64, None, {}, ({},)]
+    for d in dists:
+        for probe in probes:
+            value = canonical_value(probe)
+            # the scan that one lookup replaces: == misses the nan held, found by identity
+            scan = next((m for v, m in d.items() if v == value and _alike(v, value)), 0.0)
+            assert d.mass(probe) == scan and (probe in d) == (scan > 0.0)
+    assert dists[0].mass(nan) == 0.0 and dists[3].mass((nan,)) == 1.0
+
+
 def test_mass_membership_equality_and_distance_tell_a_bool_from_a_number():
     # each read True as 1 through plain dict equality
     for held, other in ((1, True), (True, 1), (0.0, False), ((1, 0), (True, 0)), ((False,), (0,))):

@@ -844,6 +844,116 @@ def test_pipeline_count_cat_folds_each_copy_length_once():
     assert result.items() == expected.items()
 
 
+# --- a for-loop's opaque step, once per distinct state ---------------------------------
+
+def test_tupled_fib_loop_calls_each_step_once_per_distinct_state():
+    h, k = fib_algebras(0.1)
+    calls = {"h": 0, "k": 0}
+
+    def counted(name, step):
+        def call(s):
+            calls[name] += 1
+            return step(s)
+        return call
+    tupled, _ = tupled_from_mutual(_FOR, Algebra(_FOR, h.base, counted("h", h.step)),
+                                   Algebra(_FOR, k.base, counted("k", k.step)), ())
+    fold = cata_eval(_FOR, tupled, 20)
+    # 5,232 states on the way, 1,306 of them distinct
+    assert calls == {"h": 1306, "k": 1306}
+    assert fold.items() == cata_eval(_FOR, tupled_from_mutual(_FOR, h, k, ())[0], 20).items()
+
+
+_BIG = 10**5000  # past the 4,300 digits that int's repr takes
+
+
+def _kinds(v):
+    """``v``'s type, with its components' types for a tuple."""
+    return (tuple, tuple(map(_kinds, v))) if type(v) is tuple else type(v)
+
+
+def _retype(s):
+    """1 -> 1.0 -> True -> "t", and any other state to 1: equal states of
+    other types, which a memo keyed by value alone would merge."""
+    if type(s) is int and s == 1:
+        return dirac(1.0)
+    if type(s) is float and s == 1.0:
+        return dirac(True)
+    return dirac("t") if s is True else dirac(1)
+
+
+_WALK = [(0, (1, 2)), ((1, 2), (1.0, 2)), ((1.0, 2), (True, 2)), ((True, 2), _BIG), (_BIG, 1), (1, 1.0),
+         (1.0, True)]
+
+
+def _walk(s):
+    """On along _WALK (tuples that differ only in a component's type, and a
+    state above 4,300 digits) with 3/4, else to "t"; any state off it to 0."""
+    return Dist([(next((b for a, b in _WALK if a == s and _kinds(a) == _kinds(s)), 0), 0.75), ("t", 0.25)])
+
+
+def _by_type(s):
+    """Stay, or go to the names of the state's types."""
+    name = "/".join(type(x).__name__ for x in s) if type(s) is tuple else type(s).__name__
+    return Dist([(s, 0.5), (name, 0.5)])
+
+
+_STATES = [0, 1, 1.0, True, False, 2.5, "t", (1, 2), (1.0, 2), (True, 2), ("int", 0.0)]
+
+
+@pytest.mark.parametrize("step", [_retype, _walk, _by_type], ids=["retype", "walk", "by_type"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(states=st.lists(st.sampled_from(_STATES), min_size=1, max_size=3, unique=True),
+       ns=st.lists(st.integers(0, 8), min_size=1, max_size=4))
+def test_memoised_loops_give_the_unmemoised_folds(step, states, ns):
+    from probfold.schemes import _fold_each, _folds, _last
+
+    # no two states drawn are equal, but they mix ints, floats, bools, strings and tuples
+    base = Dist([(v, 1 / len(states)) for v in states])
+    alg = Algebra(_FOR, base, step)
+    own = [_last(_folds(_FOR.layers(step, n), base)) for n in ns]
+    for folds in ([for_loop(step, base, n) for n in ns], [cata_eval(_FOR, alg, n) for n in ns],
+                  _fold_each(alg, ns)):
+        assert folds == own
+        assert [d.items() for d in folds] == [d.items() for d in own]
+        assert [list(map(_kinds, d.support)) for d in folds] == [list(map(_kinds, d.support)) for d in own]
+
+
+def _second_stays(s):
+    return dirac(s[1])
+
+
+def test_memoised_loops_keep_binds_error_texts():
+    from probfold.schemes import _fold_each, _folds, _last
+
+    def undefined_at_2(s):
+        return {0: dirac(1), 1: Dist({1: 0.5, 2: 0.5})}[s]
+
+    def no_dist_at_2(s):
+        return Dist({s: 0.5, s + 1: 0.5}) if s < 2 else None
+
+    for step, text in ((undefined_at_2, "continuation undefined at support value {}"),
+                       (no_dist_at_2, "continuation returned NoneType, not Dist, at {}")):
+        alg = Algebra(_FOR, dirac(0), step)
+        tupled = [Algebra(_FOR, dirac(0), lambda s, step=step: step(s[0])), Algebra(_FOR, dirac(0), _second_stays)]
+        for run, at in ((lambda: _last(_folds(_FOR.layers(step, 4), dirac(0))), 2),
+                        (lambda: for_loop(step, dirac(0), 4), 2), (lambda: cata_eval(_FOR, alg, 4), 2),
+                        (lambda: _fold_each(alg, [1, 4]), 2),
+                        (lambda: tupled_from_mutual(_FOR, *tupled, (1, 4)), (2, 0))):
+            with pytest.raises(DomainError) as exc:
+                run()
+            assert str(exc.value) == text.format(at)
+
+
+def test_list_sub_inputs_keep_1_1_0_and_true_apart_and_take_any_int():
+    keys = [_LIST._sub_inputs(xs) for xs in [(1, 2), (1.0, 2), (True, 2), [1, 2]]]
+    assert len({k[-1] for k in keys}) == 3 and keys[0] == keys[3]
+    assert len({k[1] for k in keys}) == 1  # the suffix (2,) is shared
+    alg = Algebra(ListF(), dirac(0), lambda av: dirac(av[1] + (av[0] > 0)))
+    report = fold_fusion_check(lambda s: dirac(s), alg, alg, [(_BIG, 1)])
+    assert report.ok and (report.side_condition_dev, report.pipeline_dev) == (0.0, 0.0)
+    assert cata_eval(_LIST, alg, (_BIG, 1)) == dirac(2)
+
+
 # --- pairing any two continuations is a step ---------------------------------------------
 
 def _light(s):
