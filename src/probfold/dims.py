@@ -171,7 +171,8 @@ def _alike(a: Any, b: Any) -> bool:
 
 def _same(a: Any, b: Any) -> bool:
     """Whether the equal values ``a`` and ``b`` agree in type, component by
-    component. 1, 1.0 and True are equal, and so are (1, 2) and (1.0, 2), but
-    a function of them can tell them apart: a memo hands the result it keeps
-    for one to another only where the two are the same."""
-    return type(a) is type(b) and (type(a) is not tuple or all(map(_same, a, b)))
+    component of a tuple or list. 1, 1.0 and True are equal, and so are
+    (1, 2) and (1.0, 2), but a function of them can tell them apart: a memo
+    hands the result it keeps for one to another only where the two are the
+    same."""
+    return type(a) is type(b) and (type(a) is not tuple and type(a) is not list or all(map(_same, a, b)))

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Sequence
 
 from .dims import Dim, Product, Sum, UNIT, _same
-from .dist import DomainError, _as_step
+from .dist import DomainError, _as_step, canonical_value
 from .matrix import Matrix, identity, kron, oplus
 
 
@@ -147,7 +147,7 @@ class _Key:
     __slots__ = ("items", "_hash")
 
     def __init__(self, items: tuple):
-        self.items, self._hash = items, hash(items)
+        self.items, self._hash = items, hash(canonical_value(items))  # a list hashes as its tuple
 
     def __hash__(self) -> int:
         return self._hash

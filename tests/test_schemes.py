@@ -945,9 +945,17 @@ def test_memoised_loops_keep_binds_error_texts():
 
 
 def test_list_sub_inputs_keep_1_1_0_and_true_apart_and_take_any_int():
+    from probfold.schemes import _fold_each
+
     keys = [_LIST._sub_inputs(xs) for xs in [(1, 2), (1.0, 2), (True, 2), [1, 2]]]
     assert len({k[-1] for k in keys}) == 3 and keys[0] == keys[3]
     assert len({k[1] for k in keys}) == 1  # the suffix (2,) is shared
+    # list elements, which a step can tell from tuples, and their components' types
+    inputs = [[[1]], [(1,)], [[1.0]], ([1],)]
+    kind = Algebra(_LIST, dirac(0), lambda av: dirac(av[1] + (type(av[0]) is list) + 10 * (type(av[0][0]) is float)))
+    assert _fold_each(kind, inputs) == [dirac(1), dirac(0), dirac(11), dirac(1)]
+    h = Algebra(_LIST, dirac(0), lambda av: dirac(av[1][0] + 1))
+    assert tupled_from_mutual(_LIST, h, h, [[[1], [2]]])[1].holds
     alg = Algebra(ListF(), dirac(0), lambda av: dirac(av[1] + (av[0] > 0)))
     report = fold_fusion_check(lambda s: dirac(s), alg, alg, [(_BIG, 1)])
     assert report.ok and (report.side_condition_dev, report.pipeline_dev) == (0.0, 0.0)
