@@ -147,7 +147,11 @@ class _Key:
     __slots__ = ("items", "_hash")
 
     def __init__(self, items: tuple):
-        self.items, self._hash = items, hash(canonical_value(items))  # a list hashes as its tuple
+        self.items = items
+        try:
+            self._hash = hash(items)
+        except TypeError:  # a list element hashes as its tuple
+            self._hash = hash(canonical_value(items))
 
     def __hash__(self) -> int:
         return self._hash

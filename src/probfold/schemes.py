@@ -95,12 +95,12 @@ def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
     step = _memoised(functor, step)
     for value in inputs:
         subs = functor._sub_inputs(value)
-        if subs[-1] not in memo:
-            known = next((i for i in range(len(subs) - 2, -1, -1) if subs[i] in memo), None)
-            base, start = (alg.base, 0) if known is None else (memo[subs[known]], known)
-            layers = islice(functor.layers(step, value), start, None)
-            memo.update(zip(subs[start:], _folds(layers, base)))
-        folds.append(memo[subs[-1]])
+        start, fold = next(((i, known) for i in range(len(subs) - 1, 0, -1)
+                            if (known := memo.get(subs[i])) is not None), (0, alg.base))
+        layers = islice(functor.layers(step, value), start, None)
+        for sub, fold in zip(subs[start + 1:], islice(_folds(layers, fold), 1, None)):
+            memo[sub] = fold
+        folds.append(fold)
     return folds
 
 
