@@ -169,10 +169,16 @@ def _alike(a: Any, b: Any) -> bool:
     return type(a) is not bool and type(b) is not bool
 
 
+_PLAIN = frozenset((bool, int, float, str))
+
+
 def _same(a: Any, b: Any) -> bool:
     """Whether the equal values ``a`` and ``b`` agree in type, component by
     component of a tuple or list. 1, 1.0 and True are equal, and so are
     (1, 2) and (1.0, 2), but a function of them can tell them apart: a memo
     hands the result it keeps for one to another only where the two are the
-    same."""
-    return type(a) is type(b) and (type(a) is not tuple and type(a) is not list or all(map(_same, a, b)))
+    same. A value of any other type, whose parts this does not read (a dict),
+    is the same only as itself."""
+    if type(a) is not type(b):
+        return False
+    return all(map(_same, a, b)) if type(a) in (tuple, list) else type(a) in _PLAIN or a is b

@@ -95,11 +95,13 @@ def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
     step = _memoised(functor, step)
     for value in inputs:
         subs = functor._sub_inputs(value)
-        start, fold = next(((i, known) for i in range(len(subs) - 1, 0, -1)
-                            if (known := memo.get(subs[i])) is not None), (0, alg.base))
-        layers = islice(functor.layers(step, value), start, None)
-        for sub, fold in zip(subs[start + 1:], islice(_folds(layers, fold), 1, None)):
-            memo[sub] = fold
+        fold = memo.get(subs[-1])
+        if fold is None:  # each key looked up once: a list's keys compare in Python
+            start, fold = next(((i, known) for i in range(len(subs) - 2, 0, -1)
+                                if (known := memo.get(subs[i])) is not None), (0, alg.base))
+            layers = islice(functor.layers(step, value), start, None)
+            for sub, fold in zip(subs[start + 1:], islice(_folds(layers, fold), 1, None)):
+                memo[sub] = fold
         folds.append(fold)
     return folds
 

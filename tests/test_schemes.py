@@ -951,9 +951,9 @@ def test_list_sub_inputs_keep_1_1_0_and_true_apart_and_take_any_int():
     assert len({k[-1] for k in keys}) == 3 and keys[0] == keys[3]
     assert len({k[1] for k in keys}) == 1  # the suffix (2,) is shared
     # list elements, which a step can tell from tuples, and their components' types
-    inputs = [[[1]], [(1,)], [[1.0]], ([1],)]
+    inputs = [[[1]], [(1,)], [[1.0]], ([1],), [{0: 1.0}], [{0: 1}]]
     kind = Algebra(_LIST, dirac(0), lambda av: dirac(av[1] + (type(av[0]) is list) + 10 * (type(av[0][0]) is float)))
-    assert _fold_each(kind, inputs) == [dirac(1), dirac(0), dirac(11), dirac(1)]
+    assert _fold_each(kind, inputs) == [dirac(1), dirac(0), dirac(11), dirac(1), dirac(10), dirac(0)]
     h = Algebra(_LIST, dirac(0), lambda av: dirac(av[1][0] + 1))
     assert tupled_from_mutual(_LIST, h, h, [[[1], [2]]])[1].holds
     alg = Algebra(ListF(), dirac(0), lambda av: dirac(av[1] + (av[0] > 0)))
