@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import copysign
 from typing import Any, Iterator
 
 
@@ -169,16 +170,21 @@ def _alike(a: Any, b: Any) -> bool:
     return type(a) is not bool and type(b) is not bool
 
 
-_PLAIN = frozenset((bool, int, float, str))
+_PLAIN = frozenset((bool, int, str))
 
 
 def _same(a: Any, b: Any) -> bool:
     """Whether the equal values ``a`` and ``b`` agree in type, component by
-    component of a tuple or list. 1, 1.0 and True are equal, and so are
-    (1, 2) and (1.0, 2), but a function of them can tell them apart: a memo
-    hands the result it keeps for one to another only where the two are the
-    same. A value of any other type, whose parts this does not read (a dict),
-    is the same only as itself."""
-    if type(a) is not type(b):
+    component of a tuple or list, and in sign where they are floats. 1, 1.0
+    and True are equal, and so are (1, 2) and (1.0, 2), and 0.0 and -0.0, but
+    a function of them can tell them apart: a memo hands the result it keeps
+    for one to another only where the two are the same. A value of any other
+    type, whose parts this does not read (a dict), is the same only as itself."""
+    kind = type(a)
+    if kind is not type(b):
         return False
-    return all(map(_same, a, b)) if type(a) in (tuple, list) else type(a) in _PLAIN or a is b
+    if kind is tuple or kind is list:
+        return all(map(_same, a, b))
+    if kind is float:
+        return copysign(1.0, a) == copysign(1.0, b)
+    return kind in _PLAIN or a is b

@@ -17,7 +17,7 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Sequence
 
 from .dims import Dim, Product, Sum, UNIT, _same
-from .dist import DomainError, _as_step
+from .dist import DomainError, _as_step, canonical_value
 from .matrix import Matrix, identity, kron, oplus
 
 
@@ -150,8 +150,11 @@ class _Key:
         self.items = items
         try:
             self._hash = hash(items)
-        except TypeError:  # an unhashable element, such as a list: equal keys agree in length
-            self._hash = len(items)
+        except TypeError:  # a list element: hashed as the tuple it equals, which _same tells apart
+            try:
+                self._hash = hash(canonical_value(items))
+            except TypeError:  # still unhashable, such as a dict: equal keys agree in length
+                self._hash = len(items)
 
     def __hash__(self) -> int:
         return self._hash

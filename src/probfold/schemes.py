@@ -73,12 +73,12 @@ def _fold(functor: FunctorDesc, step: Callable[[Any], Dist], base: Dist, value: 
     ``_affine_runs`` reads as array layers runs on arrays, with the same
     result: over int pairs on the pair-state kernel (``_tupled_affine``), over
     ints when every branch shifts the state (``_shifted``). Any other for-loop
-    computes its step's outcomes once per distinct state (``_memoised``). No
-    Dist is false."""
+    reuses the outcomes its step gave at a state in the layer before
+    (``_layers``). No Dist is false."""
     step = _as_step(step)  # once, not once per layer
     runs = _affine_runs(functor, step, value)
     return ((runs and (_tupled_affine(runs, base) or _shifted(functor, step, base, runs)))
-            or _last(_folds(functor.layers(_memoised(functor, step), value), base)))
+            or _last(_folds(_layers(functor, step)(value), base)))
 
 
 def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
@@ -86,21 +86,20 @@ def _fold_each(alg: "Algebra", inputs: Iterable[Any]) -> list[Dist]:
     longest sub-input already folded, so every distinct sub-input is folded
     once. A list fold whose step is a choice of affine branches none of which
     reads the element (``_reads_element``) is a for-loop over the input's
-    length, so inputs of one length share one fold. A for-loop's step gives
-    its outcomes at each distinct state once for all the inputs (``_memoised``)."""
+    length, so inputs of one length share one fold. A for-loop's layers share
+    one memo of its step for all the inputs (``_layers``)."""
     functor, step, memo, folds = alg.functor, _as_step(alg.step), {}, []
     affine = isinstance(functor, ListF) and _affine_choice(step, 2)
     if affine and not any(_reads_element(form, f) for form, (_, f) in zip(affine[1], step)):
         functor, step, inputs = _FOR, step.after(_unread), map(len, map(_LIST._sequence, inputs))
-    step = _memoised(functor, step)
+    layers_of = _layers(functor, step)
     for value in inputs:
         subs = functor._sub_inputs(value)
         fold = memo.get(subs[-1])
         if fold is None:  # each key looked up once: a list's keys compare in Python
             start, fold = next(((i, known) for i in range(len(subs) - 2, 0, -1)
                                 if (known := memo.get(subs[i])) is not None), (0, alg.base))
-            layers = islice(functor.layers(step, value), start, None)
-            for sub, fold in zip(subs[start + 1:], islice(_folds(layers, fold), 1, None)):
+            for sub, fold in zip(subs[start + 1:], islice(_folds(layers_of(value, start), fold), 1, None)):
                 memo[sub] = fold
         folds.append(fold)
     return folds
@@ -111,39 +110,56 @@ def _unread(y: Any) -> tuple:
     return None, y
 
 
-def _memoised(functor: FunctorDesc, step: _Step) -> _Step:
-    """``step`` for one fold over ``functor``: in a for-loop, which applies it
-    at every layer and so meets states again, a ``_Memo`` of it; a choice,
-    which ``bind`` expands inline, and a list fold's step, each of whose
-    layers takes its own element, as they are."""
-    return _Memo(step) if isinstance(functor, ForLoopF) and type(step) is not _Choice else step
+def _layers(functor: FunctorDesc, step: _Step) -> Callable[..., Iterator]:
+    """The layers of folds of ``step`` over ``functor``, as a function of an
+    input and the layer to start at. A for-loop applies its step at every
+    layer and so meets states again: its layers are one ``_Memo`` of the step,
+    turned to the next layer as each is taken. A choice, which ``bind``
+    expands inline, and a list fold's step, each of whose layers takes its own
+    element, are left as they are."""
+    if not isinstance(functor, ForLoopF) or type(step) is _Choice:
+        return lambda value, start=0: islice(functor.layers(step, value), start, None)
+    memo = _Memo(step)
+    return lambda value, start=0: map(memo.turn, range(start, functor._count(value)))
 
 
 class _Memo(_Step):
-    """A step that computes its outcomes at each distinct state once: a step
-    is a function of its state. ``mfibl``'s loop at n=20 visits 5,232 states,
-    1,306 of them distinct. The cache lives as long as the step, one fold, and
-    is keyed by value; a hit counts only where the state agrees in type with
-    the one cached, component by component (``dims._same``), so 1, 1.0 and
-    True never share outcomes. The outcomes are the step's own, in its order."""
+    """A for-loop's step that reuses the outcomes it computed at a state in
+    the layer before: a step is a function of its state, and a loop meets a
+    state again in the next layer. ``mfibl``'s loop at n=20 visits 5,232
+    states, 1,306 of them distinct, each met again only in the next layer, so
+    it computes 1,306 outcomes. The memo keeps the states of the layer being
+    bound and of the one before (``turn`` moves on a layer and drops the
+    older), so it holds at most two layers' outcomes however long the loop.
+    It is keyed by value; a hit counts only where the state agrees in type
+    and sign with the one kept, component by component (``dims._same``), so
+    1, 1.0 and True, or 0.0 and -0.0, never share outcomes. The outcomes are
+    the step's own, in its order."""
 
     __slots__ = ()
 
     def __new__(cls, step: _Step):
-        compute, cache = step.outcomes, {}
+        compute, older, newer = step.outcomes, {}, {}
 
         def outcomes(value: Any):
-            hit = cache.get(value)
-            if hit is not None and _same(hit[0], value):
-                return hit[1]
-            out = compute(value)
-            cache[value] = value, out
-            return out
+            hit = older.get(value)
+            if hit is None or not _same(hit[0], value):
+                hit = value, compute(value)
+            newer[value] = hit
+            return hit[1]
 
-        return super().__new__(cls, (outcomes,))
+        def turn(_layer: int) -> _Memo:
+            nonlocal older, newer
+            older, newer = newer, {}
+            return memo
+
+        memo = super().__new__(cls, (outcomes, turn))
+        return memo
 
     # the closure itself: ``bind`` calls it with no bound method in between
     outcomes = property(_fst)
+    # the next layer's step: this memo, keeping the states of the layer just bound
+    turn = property(_snd)
 
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:

@@ -763,11 +763,17 @@ def _by_element_type(av):
     return dirac(av[1] + 1) if isinstance(av[0], float) else choice(0.5, dirac(av[1]), dirac(av[1] + 2))
 
 
+def _by_element_sign(av):
+    """An opaque step that reads its element's sign: 0.0 and -0.0 are equal, but copysign tells them apart."""
+    return dirac(av[1] + 1) if math.copysign(1.0, av[0]) > 0 else dirac(av[1])
+
+
 # floats equal to ints among them: 1.0 == 1, but a step can tell them apart
 _NUMBER_INPUTS = st.one_of(st.lists(st.integers(-1, 2), max_size=4).map(tuple),
                            st.lists(st.integers(-1, 2), max_size=4),
-                           st.lists(st.sampled_from([-1.0, 0.5, 1.0, 2.0]), max_size=4).map(tuple))
+                           st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), max_size=4).map(tuple))
 _ANY_INPUTS = st.one_of(st.text("ab", max_size=4), _NUMBER_INPUTS)
+_SIGNED_INPUTS = st.one_of(_NUMBER_INPUTS, st.lists(st.sampled_from([0.0, -0.0]), max_size=3).map(tuple))
 
 
 @st.composite
@@ -783,9 +789,10 @@ def _bits(dists):
 
 
 @pytest.mark.parametrize("step, kinds", [(s, _ANY_INPUTS) for s in _BLIND_STEPS] +
-                         [(s, _NUMBER_INPUTS) for s in _READING_STEPS] + [(_by_element_type, _ANY_INPUTS)],
+                         [(s, _NUMBER_INPUTS) for s in _READING_STEPS] + [(_by_element_type, _ANY_INPUTS),
+                                                                          (_by_element_sign, _SIGNED_INPUTS)],
                          ids=["second+1", "plus2", "plus2+second+1", "sum", "pair_value(2,1,-1)",
-                              "pair_value(0,1,1)", "opaque"])
+                              "pair_value(0,1,1)", "opaque", "opaque_sign"])
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_fold_each_gives_each_inputs_own_fold_bit_for_bit(step, kinds, data):
@@ -867,8 +874,11 @@ _BIG = 10**5000  # past the 4,300 digits that int's repr takes
 
 
 def _kinds(v):
-    """``v``'s type, with its components' types for a tuple."""
-    return (tuple, tuple(map(_kinds, v))) if type(v) is tuple else type(v)
+    """``v``'s type, with its components' for a tuple and its sign for a
+    float: 0.0 and -0.0 are equal, but copysign tells them apart."""
+    if type(v) is tuple:
+        return tuple, tuple(map(_kinds, v))
+    return (float, math.copysign(1.0, v)) if type(v) is float else type(v)
 
 
 def _retype(s):
@@ -897,10 +907,15 @@ def _by_type(s):
     return Dist([(s, 0.5), (name, 0.5)])
 
 
-_STATES = [0, 1, 1.0, True, False, 2.5, "t", (1, 2), (1.0, 2), (True, 2), ("int", 0.0)]
+def _negate(s):
+    """A float to its negation, 0.0 to -0.0 and back, and any other state to 0.0."""
+    return dirac(-s) if type(s) is float else dirac(0.0)
 
 
-@pytest.mark.parametrize("step", [_retype, _walk, _by_type], ids=["retype", "walk", "by_type"])
+_STATES = [0, 1, 1.0, True, False, 0.0, -0.0, 2.5, "t", (1, 2), (1.0, 2), (True, 2), ("int", 0.0), ("int", -0.0)]
+
+
+@pytest.mark.parametrize("step", [_retype, _walk, _by_type, _negate], ids=["retype", "walk", "by_type", "negate"])
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(states=st.lists(st.sampled_from(_STATES), min_size=1, max_size=3, unique=True),
        ns=st.lists(st.integers(0, 8), min_size=1, max_size=4))
@@ -920,6 +935,20 @@ def test_memoised_loops_give_the_unmemoised_folds(step, states, ns):
 
 def _second_stays(s):
     return dirac(s[1])
+
+
+def test_memoised_loops_hold_no_more_memory_as_they_run_longer():
+    import tracemalloc
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert for_loop(lambda s: dirac(s + 1), dirac(0), n) == dirac(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the memo keeps two layers' outcomes: one more state per layer would be ~8 MB more at 20,000 layers
+    assert peak(20_000) - peak(200) < 100_000
 
 
 def test_memoised_loops_keep_binds_error_texts():
@@ -944,6 +973,16 @@ def test_memoised_loops_keep_binds_error_texts():
             assert str(exc.value) == text.format(at)
 
 
+def test_memos_keep_0_0_and_minus_0_0_apart():
+    from probfold.schemes import _fold_each
+
+    # equal, but a step can read the sign: neither memo hands one's result to the other
+    assert repr(for_loop(lambda s: dirac(-s), dirac(0.0), 2).items()) == "((0.0, 1.0),)"
+    sign = Algebra(_LIST, dirac(0.0), lambda av: dirac(math.copysign(1.0, av[0])))
+    assert _bits(_fold_each(sign, [(0.0,), (-0.0,)])) == _bits([dirac(1.0), dirac(-1.0)])
+    assert _LIST._sub_inputs((0.0,))[-1] != _LIST._sub_inputs((-0.0,))[-1]
+
+
 def test_list_sub_inputs_keep_1_1_0_and_true_apart_and_take_any_int():
     from probfold.schemes import _fold_each
 
@@ -954,6 +993,8 @@ def test_list_sub_inputs_keep_1_1_0_and_true_apart_and_take_any_int():
     inputs = [[[1]], [(1,)], [[1.0]], ([1],), [{0: 1.0}], [{0: 1}]]
     kind = Algebra(_LIST, dirac(0), lambda av: dirac(av[1] + (type(av[0]) is list) + 10 * (type(av[0][0]) is float)))
     assert _fold_each(kind, inputs) == [dirac(1), dirac(0), dirac(11), dirac(1), dirac(10), dirac(0)]
+    # list elements hash as the tuples they equal: one length is not one hash bucket
+    assert len({hash(_LIST._sub_inputs([[i]])[-1]) for i in range(50)}) == 50
     h = Algebra(_LIST, dirac(0), lambda av: dirac(av[1][0] + 1))
     assert tupled_from_mutual(_LIST, h, h, [[[1], [2]]])[1].holds
     alg = Algebra(ListF(), dirac(0), lambda av: dirac(av[1] + (av[0] > 0)))
