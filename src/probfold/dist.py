@@ -103,12 +103,18 @@ def _check_total(masses: Iterable[float]) -> None:
         raise DistributionError(f"total mass {total!r} is not 1 (within {PROPER_TOL})")
 
 
+def _by_value(masses: dict) -> dict:
+    """Each key of ``masses`` keyed by itself: a lookup by an equal value gives
+    the object stored, which ``_alike`` then compares with the one looked up."""
+    return dict(zip(masses, masses))
+
+
 def _check_merged(acc: dict, values: Iterable) -> None:
     """DomainError where one of ``values`` summed into an equal key of ``acc``
     that is not alike (``dims._alike``): a bool and the number it equals. An
     int and a float that merged are keyed by the int, in either order, and so
     component by component in a tuple."""
-    keys = dict(zip(acc, acc))
+    keys = _by_value(acc)
     for v in values:
         key = keys[v]
         if key is v:
@@ -208,7 +214,7 @@ class Dist:
         try:
             keys = self._keys
         except AttributeError:  # built at the first lookup, as most Dists get none
-            keys = self._keys = dict(zip(self._mass, self._mass))
+            keys = self._keys = _by_value(self._mass)
         try:
             v = keys.get(value)  # None is never a support value
         except TypeError:  # nor is an unhashable one
@@ -331,7 +337,7 @@ def marginals(d: Dist) -> tuple[Dist, Dist]:
 def tv_distance(d: Dist, e: Dist) -> float:
     """Total variation distance: half the L1 distance between the masses. A
     bool and the number it equals are two values."""
-    unmatched = dict(zip(e._mass, e._mass))  # e's values, by value
+    unmatched = _by_value(e._mass)
     gaps = []
     for v, m in d._mass.items():
         w = unmatched.get(v)

@@ -120,7 +120,7 @@ def _layers(functor: FunctorDesc, step: _Step) -> Callable[..., Iterator]:
     if not isinstance(functor, ForLoopF) or type(step) is _Choice:
         return lambda value, start=0: islice(functor.layers(step, value), start, None)
     memo = _Memo(step)
-    return lambda value, start=0: map(memo.turn, range(start, functor._count(value)))
+    return lambda value, start=0: map(memo.layer, range(start, functor._count(value)))
 
 
 class _Memo(_Step):
@@ -129,7 +129,7 @@ class _Memo(_Step):
     state again in the next layer. ``mfibl``'s loop at n=20 visits 5,232
     states, 1,306 of them distinct, each met again only in the next layer, so
     it computes 1,306 outcomes. The memo keeps the states of the layer being
-    bound and of the one before (``turn`` moves on a layer and drops the
+    bound and of the one before (``layer`` moves on a layer and drops the
     older), so it holds at most two layers' outcomes however long the loop.
     It is keyed by value; a hit counts only where the state agrees in type
     and sign with the one kept, component by component (``dims._same``), so
@@ -148,18 +148,21 @@ class _Memo(_Step):
             newer[value] = hit
             return hit[1]
 
-        def turn(_layer: int) -> _Memo:
+        def turn() -> None:
             nonlocal older, newer
             older, newer = newer, {}
-            return memo
 
-        memo = super().__new__(cls, (outcomes, turn))
-        return memo
+        return super().__new__(cls, (outcomes, turn))
 
     # the closure itself: ``bind`` calls it with no bound method in between
     outcomes = property(_fst)
-    # the next layer's step: this memo, keeping the states of the layer just bound
-    turn = property(_snd)
+
+    def layer(self, _index: int) -> _Memo:
+        """The next layer's step: this memo, keeping the states of the layer
+        just bound. ``turn`` does not return the memo, so no cycle keeps a
+        finished fold's outcomes alive until a full garbage collection."""
+        self[1]()
+        return self
 
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:

@@ -951,6 +951,24 @@ def test_memoised_loops_hold_no_more_memory_as_they_run_longer():
     assert peak(20_000) - peak(200) < 100_000
 
 
+def test_memoised_loops_leave_no_reference_cycle():
+    import gc
+
+    from probfold.cases import mfibl
+    from probfold.schemes import _fold_each
+
+    # a cycle would keep each finished fold's last two layers alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert for_loop(lambda s: dirac(s + 1), dirac(0), 50) == dirac(50)
+        assert _fold_each(Algebra(_FOR, dirac(0), lambda s: dirac(s + 1)), [3, 5]) == [dirac(3), dirac(5)]
+        mfibl(0.1, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_memoised_loops_keep_binds_error_texts():
     from probfold.schemes import _fold_each, _folds, _last
 
