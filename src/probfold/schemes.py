@@ -119,8 +119,24 @@ def _layers(functor: FunctorDesc, step: _Step) -> Callable[..., Iterator]:
     element, are left as they are."""
     if not isinstance(functor, ForLoopF) or type(step) is _Choice:
         return lambda value, start=0: islice(functor.layers(step, value), start, None)
-    memo = _Memo(step)
-    return lambda value, start=0: map(memo.layer, range(start, functor._count(value)))
+    compute, older, newer = step.outcomes, {}, {}
+
+    def outcomes(value: Any):
+        hit = older.get(value)
+        if hit is None or not _same(hit[0], value):
+            hit = value, compute(value)
+        newer[value] = hit
+        return hit[1]
+
+    def turn(_layer: int) -> _Memo:
+        # the memo holds ``outcomes`` but not ``turn``: no cycle keeps a
+        # finished fold's outcomes alive until a full garbage collection
+        nonlocal older, newer
+        older, newer = newer, {}
+        return memo
+
+    memo = _Memo((outcomes,))
+    return lambda value, start=0: map(turn, range(start, functor._count(value)))
 
 
 class _Memo(_Step):
@@ -129,7 +145,7 @@ class _Memo(_Step):
     state again in the next layer. ``mfibl``'s loop at n=20 visits 5,232
     states, 1,306 of them distinct, each met again only in the next layer, so
     it computes 1,306 outcomes. The memo keeps the states of the layer being
-    bound and of the one before (``layer`` moves on a layer and drops the
+    bound and of the one before (``_layers`` moves it on a layer and drops the
     older), so it holds at most two layers' outcomes however long the loop.
     It is keyed by value; a hit counts only where the state agrees in type
     and sign with the one kept, component by component (``dims._same``), so
@@ -138,31 +154,8 @@ class _Memo(_Step):
 
     __slots__ = ()
 
-    def __new__(cls, step: _Step):
-        compute, older, newer = step.outcomes, {}, {}
-
-        def outcomes(value: Any):
-            hit = older.get(value)
-            if hit is None or not _same(hit[0], value):
-                hit = value, compute(value)
-            newer[value] = hit
-            return hit[1]
-
-        def turn() -> None:
-            nonlocal older, newer
-            older, newer = newer, {}
-
-        return super().__new__(cls, (outcomes, turn))
-
     # the closure itself: ``bind`` calls it with no bound method in between
     outcomes = property(_fst)
-
-    def layer(self, _index: int) -> _Memo:
-        """The next layer's step: this memo, keeping the states of the layer
-        just bound. ``turn`` does not return the memo, so no cycle keeps a
-        finished fold's outcomes alive until a full garbage collection."""
-        self[1]()
-        return self
 
 
 def for_loop(body: Callable[[Any], Dist], init: Dist, n: int) -> Dist:
