@@ -19,6 +19,7 @@ import csv
 import io
 import operator
 import sys
+import threading
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -110,13 +111,21 @@ class Matrix:
         return bool(np.all(self.data.max(axis=0) >= 1.0 - tol))
 
     def to_csv(self, header: bool = False) -> str:
-        """Row-major CSV; floats keep full round-trip precision."""
+        """Row-major CSV; floats keep full round-trip precision. Each cell is
+        ``csv_number`` of its entry, formatted a block of rows at a time."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         if header:
             writer.writerow([""] + [str(v) for v in self.col_dim.elements()])
-        for label, row in zip(self.row_dim.elements(), self.data):
-            writer.writerow(([str(label)] if header else []) + [csv_number(x) for x in row])
+            labels = [str(label) for label in self.row_dim.elements()]
+        data = self.data
+        step = max(1, _CSV_CELLS // data.shape[1])  # a dim has at least one element
+        for start in range(0, data.shape[0], step):
+            rows = _csv_cells(data[start:start + step])
+            if header:
+                writer.writerows([label, *row] for label, row in zip(labels[start:start + step], rows))
+            else:  # a number needs no quoting, so its row is written as csv would
+                out.writelines(",".join(row) + "\n" for row in rows)
         return out.getvalue()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -148,19 +157,42 @@ def csv_number(x: float) -> str:
     return repr(float(x))
 
 
+_CSV_CELLS = 1 << 16  # cells formatted per block of rows: bounds the text objects alive at once
+
+
+def _csv_cells(block: np.ndarray) -> list[list[str]]:
+    """``csv_number`` of every entry of ``block``, as lists of rows, with
+    Python called only for the nonzero entries: a zero (also -0.0) is "0",
+    a whole number below 1e16 in magnitude its int, and any other entry its
+    float repr."""
+    cells = np.full(block.shape, "0", dtype=object)
+    nonzero = block != 0.0
+    values = block[nonzero]
+    whole = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    texts = np.empty(values.shape, dtype=object)
+    texts[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    texts[~whole] = list(map(repr, values[~whole].tolist()))
+    cells[nonzero] = texts
+    return cells.tolist()
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def identity(dim: Dim) -> Matrix:
     return Matrix(dim, dim, _Fresh(np.eye(dim.size)))
 
 
-def _zeros(col_dim: Dim, row_dim: Dim) -> np.ndarray:
-    """A zero float64 array for a col_dim -> row_dim matrix. A shape whose
-    bytes exceed the largest size numpy can address is a DomainError naming
-    the dims, not numpy's ``array is too big``."""
+def _check_fits(col_dim: Dim, row_dim: Dim) -> None:
+    """A shape whose bytes exceed the largest size numpy can address is a
+    DomainError naming the dims, not numpy's ``array is too big``."""
     rows, cols = row_dim.size, col_dim.size
     if rows * cols * 8 > sys.maxsize:
         raise DomainError(f"a {rows}x{cols} matrix for {col_dim} -> {row_dim} is too large to allocate")
-    return np.zeros((rows, cols))
+
+
+def _zeros(col_dim: Dim, row_dim: Dim) -> np.ndarray:
+    """A zero float64 array for a col_dim -> row_dim matrix (``_check_fits``)."""
+    _check_fits(col_dim, row_dim)
+    return np.zeros((row_dim.size, col_dim.size))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -316,17 +348,39 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
 
 
 class _Sparse(Matrix):
-    """A matrix that also holds its nonzeros ``(rows, cols, weights)``, in the
-    row-major order ``np.nonzero`` lists them, so the fixpoint reads them
-    without scanning the dense data."""
+    """A matrix held as its dims and its nonzeros ``(rows, cols, weights)``,
+    in the row-major order ``np.nonzero`` lists them, so the fixpoint reads
+    them and never the dense data. ``shape`` comes from the dims; ``data``
+    is built on its first read (zeros and one scatter of the nonzeros, C
+    order, read-only) and kept, one array per matrix even when threads read
+    it at once. Its size was checked when the matrix was built."""
 
-    __slots__ = ("nonzeros",)
+    __slots__ = ("nonzeros", "_dense")
+    _building = threading.Lock()
 
-    def __init__(self, col_dim: Dim, row_dim: Dim, data: _Fresh, nonzeros: tuple[np.ndarray, ...]):
-        super().__init__(col_dim, row_dim, data)
+    def __init__(self, col_dim: Dim, row_dim: Dim, nonzeros: tuple[np.ndarray, ...]):
         for arr in nonzeros:
             arr.setflags(write=False)
+        object.__setattr__(self, "col_dim", col_dim)
+        object.__setattr__(self, "row_dim", row_dim)
         object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "_dense", None)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.row_dim.size, self.col_dim.size
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._dense is None:
+            with self._building:
+                if self._dense is None:
+                    arr = np.zeros(self.shape)
+                    rows, cols, weights = self.nonzeros
+                    arr[rows, cols] = weights
+                    arr.setflags(write=False)
+                    object.__setattr__(self, "_dense", arr)
+        return self._dense
 
 
 def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
@@ -338,12 +392,15 @@ def _probfn_columns(f, col_dim: Dim, row_dim: Dim,
     a pairing of choices. The values a column loses are put in support order,
     so the escapes and the value strict mode names are those of f(a). A
     choice of affine branches between ``Range``s is built by
-    ``_affine_columns`` instead, with the same result."""
-    out = _zeros(col_dim, row_dim)
+    ``_affine_columns`` instead, with the same result, as a ``_Sparse`` that
+    holds only its nonzeros; only the column loop fills a dense array. Either
+    way a matrix too large to allocate is a DomainError, raised first."""
+    _check_fits(col_dim, row_dim)
     step = _as_step(f)
     choice = _affine_choice(step, 1) if type(col_dim) is Range and type(row_dim) is Range else None
     if choice is not None and _value_bound(choice[1], [col_dim.n - 1]) in _INT64:
-        return _affine_columns(choice, col_dim, row_dim, out, strict)
+        return _affine_columns(choice, col_dim, row_dim, strict)
+    out = _zeros(col_dim, row_dim)
     escapes: dict[int, list[tuple[Any, float]]] = {}
     outcomes, (index, elements) = step.outcomes, _index(row_dim)
     for j, a in enumerate(col_dim.elements()):
@@ -440,7 +497,7 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
     return outcomes
 
 
-def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row_dim: Range, out: np.ndarray,
+def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row_dim: Range,
                     strict: bool) -> tuple[_Sparse, dict[int, list[tuple[int, float]]]]:
     """``_probfn_columns`` for a choice of affine branches over ints
     (``dist._affine_choice``) whose values stay in int64: all branch values
@@ -470,8 +527,7 @@ def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row
     rows, cols, mass = rows[inside], cols[inside], mass[inside]
     order = np.lexsort((cols, rows))  # row-major, as np.nonzero lists them
     nonzeros = rows[order].astype(np.intp, copy=False), cols[order].astype(np.intp, copy=False), mass[order]
-    out[nonzeros[0], nonzeros[1]] = nonzeros[2]
-    return _Sparse(col_dim, row_dim, _Fresh(out), nonzeros), escapes
+    return _Sparse(col_dim, row_dim, nonzeros), escapes
 
 
 def relabel(m: Matrix, col_dim: Dim | None = None, row_dim: Dim | None = None) -> Matrix:

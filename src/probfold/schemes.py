@@ -205,9 +205,10 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     matrix-vector product per column: a scatter-add over the body's nonzeros
     when at most one entry in ``_SPARSE_FILL`` is nonzero, else a dense
     product. A body that ``from_probfn_truncated`` built from a choice of
-    affine branches carries its nonzeros, and the fixpoint takes them and the
-    body's column sums from there; any other body's dense data is scanned for
-    them. Either way the result is the same, bit for bit.
+    affine branches is held as its nonzeros (``matrix._Sparse``), and the
+    fixpoint takes them and the body's column sums from there, so that body
+    is never laid out dense; any other body's dense data is scanned for them.
+    Either way the result is the same, bit for bit.
 
     The columns that feed a next one are checked once per block of
     ``_BLOCK`` (64) columns, and the first failing column is named: any
@@ -237,13 +238,13 @@ def matrix_cata_fixpoint(body: Matrix, init: Matrix, n_max: int, m_dim: Dim,
     bad = [key for key in escapes or () if type(key) is not int or key not in range(m_dim.size)]
     if bad:
         raise DomainError(f"escapes key {bad[0]!r} is not the index of a state of {m_dim}")
-    if isinstance(body, _Sparse):  # built with its nonzeros: the dense data is not scanned
+    if isinstance(body, _Sparse):  # held as its nonzeros: no dense data is built or scanned
         dst, src, weights = body.nonzeros  # entry (dst, src) moves mass from src to dst
         sums = np.bincount(src, weights=weights, minlength=m_dim.size)
-        sparse = weights.size * _SPARSE_FILL <= body.data.size
+        sparse = weights.size * _SPARSE_FILL <= m_dim.size ** 2
     else:
         sums = body.data.sum(axis=0)
-        sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= body.data.size
+        sparse = np.count_nonzero(body.data) * _SPARSE_FILL <= m_dim.size ** 2
         if sparse:  # few nonzeros, as a choice of sharp functions has
             dst, src = np.nonzero(body.data)
             weights = body.data[dst, src]

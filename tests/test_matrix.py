@@ -1,5 +1,7 @@
 """Typed-matrix tests: dims, combinators, predicates, conversions, CSV."""
 
+import csv
+import io
 import math
 import operator
 from functools import partial
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from probfold.dims import _MEMO_SIZE, BOOLS, EnumDim, Product, Range, Sum, UNIT, _elements, _index, inl, inr
+from probfold import matrix as matrix_module
 from probfold.dist import Dist, DomainError, _Choice, _identity, _paired, _zero, dirac
 from probfold.matrix import (
     DimensionError,
@@ -19,6 +22,7 @@ from probfold.matrix import (
     bang,
     compose,
     converse,
+    csv_number,
     from_probfn,
     from_probfn_truncated,
     from_sharp_fn,
@@ -441,6 +445,23 @@ def test_a_fault_step_gives_the_columns_of_its_dists():
     assert from_probfn_truncated(fadd(0.1, -2), Range(6), Range(3))[1][5] == [(3, 0.9), (5, 0.1)]
 
 
+def test_a_matrix_too_large_to_allocate_is_refused_before_any_work(monkeypatch):
+    # 2**31 x 2**31 float64 entries are 2**65 bytes: the size check comes
+    # first, before the affine path's arrays of 2**31 inputs (patched to
+    # fail, so a check that came later could not start them) and before the
+    # column loop's zeros
+    def unguarded(*args):
+        raise AssertionError("the affine path ran before the size check")
+    monkeypatch.setattr(matrix_module, "_affine_columns", unguarded)
+    dim = Range(2**31)
+    text = f"a {2**31}x{2**31} matrix for {dim} -> {dim} is too large to allocate"
+    for step in (fadd(0.1, 2), lambda v: dirac(v)):
+        for build in (from_probfn_truncated, from_probfn):
+            with pytest.raises(DomainError) as err:
+                build(step, dim, dim)
+            assert str(err.value) == text
+
+
 _FAULTY_ADDITIONS = {
     "fadd": fadd,
     "fadd_zero": fadd_zero,
@@ -599,6 +620,41 @@ def test_csv_export_plain_and_header():
     header = m.to_csv(header=True).splitlines()
     assert header[0] == ",False,True"
     assert header[1] == "False,0.05,1"
+
+
+def _csv_reference(m: Matrix, header: bool) -> str:
+    # one csv row per matrix row, each cell csv_number of its entry
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if header:
+        writer.writerow([""] + [str(v) for v in m.col_dim.elements()])
+    for label, row in zip(m.row_dim.elements(), m.data):
+        writer.writerow(([str(label)] if header else []) + [csv_number(x) for x in row])
+    return out.getvalue()
+
+
+# zeros of both signs, whole numbers on both sides of 1e16, and floats whose
+# repr is positional or scientific
+_CSV_ENTRIES = [0.0, -0.0, 1.0, 3.0, 0.5, 0.1 + 0.2, 1e-5, 1e-300, 5e-324, 123456.0, 9999999999999998.0,
+                1e16, 2.0**53, 1e16 + 2, 1.5e17, 1e300, 7e15 + 0.5]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_CSV_ENTRIES) - 1), min_size=1, max_size=60),
+       cols=st.integers(1, 9), cells=st.sampled_from([1, 5, 64, 1 << 16]), header=st.booleans())
+def test_csv_export_writes_each_cell_as_csv_number_of_its_entry(picks, cols, cells, header):
+    # the block-wise export gives the per-cell reference byte for byte, at any
+    # block size; labels that need quoting go through csv
+    rows = -(-len(picks) // cols)
+    data = np.array([_CSV_ENTRIES[picks[i % len(picks)]] for i in range(rows * cols)]).reshape(rows, cols)
+    row_dim = EnumDim(tuple(["a,b", 'q"x', "", "two\nlines", " pad", *range(rows)][:rows]))
+    m = Matrix(Product(Range(1), Range(cols)), row_dim, data)
+    old_cells = matrix_module._CSV_CELLS
+    matrix_module._CSV_CELLS = cells
+    try:
+        assert m.to_csv(header) == _csv_reference(m, header)
+    finally:
+        matrix_module._CSV_CELLS = old_cells
 
 
 def test_csv_full_precision_round_trip():

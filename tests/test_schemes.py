@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import time
 
 import functools
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probfold import cli
 from probfold.cases import (
     fadd,
     fadd_combined,
@@ -28,6 +30,7 @@ from probfold.dist import (Dist, DomainError, ProbFn, _Choice, _pair_value, _plu
                            choice, dirac, marginals, pair, tv_distance)
 from probfold.functors import CompF, ConstF, ForLoopF, IdF, ListF, SumF
 from probfold.matrix import (
+    DimensionError,
     Matrix,
     TruncationError,
     _Sparse,
@@ -36,6 +39,7 @@ from probfold.matrix import (
     from_sharp_fn,
     identity,
     junc,
+    madd,
     max_dev,
     to_probfn,
 )
@@ -354,6 +358,61 @@ def test_a_body_built_with_its_nonzeros_gives_the_plain_body_fixpoint(m):
                     except TruncationError as err:
                         outcomes.append(str(err))
                 assert outcomes[0] == outcomes[1]
+
+
+def test_the_fixpoint_never_lays_a_nonzeros_body_out_dense(monkeypatch):
+    # `probfold matrix ftwice_fixpoint` at n=300 over Range(601): the body
+    # from_probfn_truncated returns is read by the fixpoint, its shape, repr
+    # and dims checks, and none of them builds its dense array
+    built = []
+
+    def keep(*args):
+        body, escapes = from_probfn_truncated(*args)
+        built.append(body)
+        return body, escapes
+    monkeypatch.setattr(cli, "from_probfn_truncated", keep)
+    k = cli._matrix_of("ftwice_fixpoint", 0.1, 0.0, 300, 600)
+    (body,) = built
+    assert isinstance(body, _Sparse) and body._dense is None
+    states = Range(601)
+    assert body.shape == (601, 601) and repr(body) == f"Matrix({states} -> {states}, 601x601)"
+    with pytest.raises(DomainError):
+        matrix_cata_fixpoint(body, from_probfn(lambda _u: dirac(0), UNIT, Range(5)), 3, Range(5))
+    with pytest.raises(DimensionError):
+        madd(body, identity(Range(5)))
+    assert body._dense is None
+    # the first read gives the column loop's dense body, bit for bit, as a
+    # read-only C-order float64 array, kept for every later read
+    ref_body, _ = from_probfn_truncated(lambda v: fadd(0.1, 2)(v), states, states)
+    assert type(ref_body) is Matrix
+    data = body.data
+    assert data.dtype == np.float64 and data.flags.c_contiguous and not data.flags.writeable
+    assert data.tobytes() == ref_body.data.tobytes() and body.data is data
+    plain = Matrix(states, states, data)
+    init = from_probfn(lambda _u: dirac(0), UNIT, states)
+    assert matrix_cata_fixpoint(plain, init, 300, states).data.tobytes() == k.data.tobytes()
+
+
+def test_threads_reading_a_nonzeros_body_get_one_dense_array():
+    # more threads than cores, switching often: each read gives the same array
+    states = Range(401)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            body, _ = from_probfn_truncated(fadd(0.1, 2), states, states)
+            reads = []
+            threads = [threading.Thread(target=lambda: reads.append(body.data)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(reads) == 8 and all(r is reads[0] for r in reads)
+    finally:
+        sys.setswitchinterval(switch)
+    ref_body, _ = from_probfn_truncated(lambda v: fadd(0.1, 2)(v), states, states)
+    assert reads[0].tobytes() == ref_body.data.tobytes()
 
 
 def test_fixpoint_rejects_negative_input_count():
