@@ -3,7 +3,8 @@
 Columns index inputs, rows index outputs, so a column-stochastic (CS) matrix
 is exactly a probabilistic function between its dimensions. Dimension checks
 are structural and failures name both dims. Entries are nonnegative float64;
-storage is dense numpy (desk-scale dims only, by design).
+storage is dense numpy (desk-scale dims only, by design); a loop body built
+from affine branches holds only its nonzeros until its data is read.
 
 Data from outside is copied and checked entry by entry. A combinator's result
 is built from matrices that passed those checks, so it is checked once: ops
@@ -111,21 +112,20 @@ class Matrix:
         return bool(np.all(self.data.max(axis=0) >= 1.0 - tol))
 
     def to_csv(self, header: bool = False) -> str:
-        """Row-major CSV; floats keep full round-trip precision. Each cell is
-        ``csv_number`` of its entry, formatted a block of rows at a time."""
+        """Row-major CSV; floats keep full round-trip precision. The cells are
+        formatted a block of rows at a time (``_csv_cells``); a number needs
+        no quoting, so only the labels go through ``csv``."""
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         if header:
-            writer.writerow([""] + [str(v) for v in self.col_dim.elements()])
-            labels = [str(label) for label in self.row_dim.elements()]
+            csv.writer(out, lineterminator="\n").writerow([""] + [str(v) for v in self.col_dim.elements()])
+            heads = [_csv_head(label) for label in self.row_dim.elements()]
+        else:
+            heads = [""] * self.row_dim.size
         data = self.data
         step = max(1, _CSV_CELLS // data.shape[1])  # a dim has at least one element
         for start in range(0, data.shape[0], step):
             rows = _csv_cells(data[start:start + step])
-            if header:
-                writer.writerows([label, *row] for label, row in zip(labels[start:start + step], rows))
-            else:  # a number needs no quoting, so its row is written as csv would
-                out.writelines(",".join(row) + "\n" for row in rows)
+            out.writelines(head + ",".join(row) + "\n" for head, row in zip(heads[start:start + step], rows))
         return out.getvalue()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -151,20 +151,22 @@ def _bad_entries(arr: np.ndarray) -> str:
     return "matrix entries must be nonnegative"
 
 
-def csv_number(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
-
-
 _CSV_CELLS = 1 << 16  # cells formatted per block of rows: bounds the text objects alive at once
 
 
+def _csv_head(label: Any) -> str:
+    """A row's label cell and the comma after it, as ``csv`` writes them
+    before a number (every row has one)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([str(label), "0"])
+    return out.getvalue()[:-2]
+
+
 def _csv_cells(block: np.ndarray) -> list[list[str]]:
-    """``csv_number`` of every entry of ``block``, as lists of rows, with
+    """The CSV cell of every entry of ``block``, as lists of rows, with
     Python called only for the nonzero entries: a zero (also -0.0) is "0",
     a whole number below 1e16 in magnitude its int, and any other entry its
-    float repr."""
+    float repr, which reads back as the same float."""
     cells = np.full(block.shape, "0", dtype=object)
     nonzero = block != 0.0
     values = block[nonzero]
@@ -340,9 +342,9 @@ def from_probfn_truncated(f: ProbFn | Callable[[Any], Dist], col_dim: Dim,
     A weighted choice of affine branches between ``Range``s -- the faulty
     additions ``fadd``, ``fadd_zero`` and ``fadd_combined`` with an int addend
     -- is built from its branches as arrays, not column by column, and the
-    matrix it returns also holds its nonzeros, which matrix_cata_fixpoint
-    reads instead of scanning the dense data. The entries and escapes are
-    the same, bit for bit.
+    matrix it returns holds only its nonzeros: its dense data is built when
+    first read, and matrix_cata_fixpoint never reads it. The entries and
+    escapes are the same, bit for bit.
     """
     return _probfn_columns(f, col_dim, row_dim, strict=False)
 

@@ -22,7 +22,6 @@ from probfold.matrix import (
     bang,
     compose,
     converse,
-    csv_number,
     from_probfn,
     from_probfn_truncated,
     from_sharp_fn,
@@ -622,14 +621,20 @@ def test_csv_export_plain_and_header():
     assert header[1] == "False,0.05,1"
 
 
+def _csv_number(x: float) -> str:
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(float(x))
+
+
 def _csv_reference(m: Matrix, header: bool) -> str:
-    # one csv row per matrix row, each cell csv_number of its entry
+    # the export as a csv row per matrix row and a call per cell
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if header:
         writer.writerow([""] + [str(v) for v in m.col_dim.elements()])
     for label, row in zip(m.row_dim.elements(), m.data):
-        writer.writerow(([str(label)] if header else []) + [csv_number(x) for x in row])
+        writer.writerow(([str(label)] if header else []) + [_csv_number(x) for x in row])
     return out.getvalue()
 
 
@@ -642,7 +647,7 @@ _CSV_ENTRIES = [0.0, -0.0, 1.0, 3.0, 0.5, 0.1 + 0.2, 1e-5, 1e-300, 5e-324, 12345
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(picks=st.lists(st.integers(0, len(_CSV_ENTRIES) - 1), min_size=1, max_size=60),
        cols=st.integers(1, 9), cells=st.sampled_from([1, 5, 64, 1 << 16]), header=st.booleans())
-def test_csv_export_writes_each_cell_as_csv_number_of_its_entry(picks, cols, cells, header):
+def test_csv_export_gives_the_per_cell_reference_at_any_block_size(picks, cols, cells, header):
     # the block-wise export gives the per-cell reference byte for byte, at any
     # block size; labels that need quoting go through csv
     rows = -(-len(picks) // cols)
