@@ -436,14 +436,16 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
 
     The forms are read once, here: a branch of an earlier branch's form always
     meets it and is never listed; two forms of the same coefficients and other
-    constants never meet; any other two meet only at some states. So where no
-    two branches meet only at some states, every merged weight is one float
-    for the whole run. Returns ``outcomes(states)``, which takes an int64
-    array per state component (shapes that broadcast to S; values kept in
-    int64 by ``_value_bound``) and gives, broadcasting to S x K for the K
-    branches of distinct forms, each one's value and its listed weight: the
-    merged weight where it is listed, 0.0 where it meets an earlier branch
-    or its merged weight drops. Values skip zero and unit coefficients."""
+    constants never meet; any other two meet only at some states. So one
+    decision holds for the run: if the heads (the distinct forms) share one
+    coefficient vector, every merged weight is one float; if they have two or
+    more, each head differs from one of them, and every head is merged per
+    state. Returns ``outcomes(states)``, which takes an int64 array per state
+    component (shapes that broadcast to S; values kept in int64 by
+    ``_value_bound``) and gives, broadcasting to S x K for the K branches of
+    distinct forms, each one's value and its listed weight: the merged weight
+    where it is listed, 0.0 where it meets an earlier branch or its merged
+    weight drops. Values skip zero and unit coefficients."""
     weights, forms = choice
     first = [forms.index(form) for form in forms]  # the branch whose form each one has first
     heads = [k for k, j in enumerate(first) if j == k]  # one per distinct form, in branch order
@@ -458,23 +460,22 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
     def sometimes(j: int, k: int) -> bool:
         return forms[j][:-1] != forms[k][:-1]
 
-    # per head, its listed weight: one float for the whole run, or the steps
-    # that give it at each state: the weights to add in branch order, each
-    # with the column of the branch it meets only at some states (None: it
-    # always meets), and the earlier columns whose value takes it
+    # per head, the steps that give its listed weight: the weights to add in
+    # branch order, each with the column of the branch it meets only at some
+    # states (None: it always meets), and the earlier columns whose value takes it
     plans = []
     for c, k in enumerate(heads):
         adds = [(weights[l], heads.index(first[l]) if sometimes(k, l) else None)
                 for l in range(k + 1, len(forms)) if first[l] == k or sometimes(k, l)]
-        taken = [e for e, j in enumerate(heads[:c]) if sometimes(j, k)]
-        if taken or any(at is not None for _, at in adds):
-            plans.append((weights[k], adds, taken))
-            continue
-        m = weights[k]
-        for w, _ in adds:  # in branch order
-            m += w
-        plans.append(m if m >= PRUNE_EPS else 0.0)
-    row = None if any(isinstance(plan, tuple) for plan in plans) else np.array(plans)
+        plans.append((weights[k], adds, [e for e, j in enumerate(heads[:c]) if sometimes(j, k)]))
+    row = None
+    if not any(sometimes(heads[0], k) for k in heads):  # no two heads ever meet
+        row = []
+        for m, adds, _ in plans:
+            for w, _ in adds:  # in branch order
+                m += w
+            row.append(m if m >= PRUNE_EPS else 0.0)
+        row = np.array(row)
 
     def outcomes(states: tuple) -> tuple[np.ndarray, np.ndarray]:
         values = constants
@@ -484,11 +485,7 @@ def _branch_outcomes(choice: tuple[list[float], list[_Form]]) -> Callable[[tuple
         if row is not None:
             return values, row
         mass = np.empty(values.shape)
-        for c, plan in enumerate(plans):
-            if not isinstance(plan, tuple):
-                mass[..., c] = plan
-                continue
-            m, adds, taken = plan
+        for c, (m, adds, taken) in enumerate(plans):
             v = values[..., c]
             for w, at in adds:
                 m = m + w if at is None else np.where(values[..., at] == v, m + w, m)
@@ -506,13 +503,8 @@ def _affine_columns(choice: tuple[list[float], list[_Form]], col_dim: Range, row
     at once, as arrays. Escapes and the value strict mode names come in the
     loop's order, as Python ints and floats."""
     rows, mass = _branch_outcomes(choice)((np.arange(col_dim.n, dtype=np.int64),))
-    listed = []
-    for x in (rows, mass):
-        if x.ndim == 1:  # a run-wide weight row, or constant branches: repeated per input, contiguous to index
-            x, row = np.empty((col_dim.n, x.size), dtype=x.dtype), x
-            x[...] = row
-        listed.append(x)
-    rows, mass = listed
+    # a run-wide weight row, or constant branches: repeated per input, contiguous to index
+    rows, mass = (np.ascontiguousarray(np.broadcast_to(x, (col_dim.n, x.shape[-1]))) for x in (rows, mass))
     keep = mass > 0.0  # a listed weight is at least PRUNE_EPS
     rows, mass = rows[keep], mass[keep]
     cols = np.nonzero(keep)[0]

@@ -439,11 +439,10 @@ def _gathered(keys: tuple[np.ndarray, ...], moved: np.ndarray) -> tuple[np.ndarr
             offsets -= low
         masses = np.bincount(slots, weights=moved)
         kept = np.flatnonzero(masses >= PRUNE_EPS)
-        offsets, rests = kept, []
-        for low, span in zip(lo[:0:-1], spans[:0:-1]):  # the last component first
-            offsets, rest = np.divmod(offsets, span)
-            rests.append(rest + low)
-        values = np.array([offsets + lo[0], *rests[::-1]])
+        if len(keys) == 1:
+            values = kept[None] + lo[0]
+        else:
+            values = np.array(np.unravel_index(kept, spans)) + np.array(lo)[:, None]
     else:
         keys = np.array([np.broadcast_to(k, shape).ravel() for k in keys])
         order = np.lexsort(keys[::-1])
@@ -712,16 +711,10 @@ def fold_fusion_check(post: Callable[[Any], Dist], g_alg: Algebra, candidate: Al
     # each input's suffixes lie on its own fold's way: one loop per input
     tails = [(xs[i], xs[i + 1:]) for xs in inputs for i in range(len(xs))]
     g_folds = _fold_each(g_alg, inputs + [rest for _, rest in tails])
-    points: list[tuple[Any, Any]] = []
     if carrier_values is not None:
         points = [(a, s) for a in alphabet for s in carrier_values]
     else:
-        seen = set()
-        for (a, _), fold in zip(tails, g_folds[len(inputs):]):
-            for s in fold.support:
-                if (a, s) not in seen:
-                    seen.add((a, s))
-                    points.append((a, s))
+        points = dict.fromkeys((a, s) for (a, _), fold in zip(tails, g_folds[len(inputs):]) for s in fold.support)
 
     side_dev = tv_distance(bind(g_alg.base, post), candidate.base)
     for a, s in points:

@@ -1,8 +1,9 @@
 """The array kernels, checked bit for bit against the dict path they
-replace: the pair-state kernels of mutual and tupled for-loops over choices
-of affine branches and of banana-split folds over int pairs, and the dense
-array of folds of shifts over ints, each taking the layers that
-``schemes._affine_runs`` reads from a fold."""
+replace: the merge of a choice's branches at many states at once
+(``matrix._branch_outcomes``), the pair-state kernels of mutual and tupled
+for-loops over choices of affine branches and of banana-split folds over
+int pairs, and the dense array of folds of shifts over ints, each taking
+the layers that ``schemes._affine_runs`` reads from a fold."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import operator
 from contextlib import contextmanager
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,10 @@ from probfold.cases import (fadd, fadd_combined, fadd_zero, favg_pair, favg_spli
                             fcount_algebra, fsum, fsum_algebra, ftwice, msq, msq_prime, msql, pipeline_consolidated,
                             sq_algebras, sq_prime_algebras)
 from probfold.dist import _affine as _pair_affine
-from probfold.dist import (PROPER_TOL, PRUNE_EPS, Dist, DistributionError, _Choice, _identity, _pair_value, _paired,
-                           _plus_one, _plus_two, _Plain, _second, _sum, _zero, dirac, pair)
+from probfold.dist import (PROPER_TOL, PRUNE_EPS, Dist, DistributionError, _affine_choice, _Choice, _identity,
+                           _pair_value, _paired, _plus_one, _plus_two, _Plain, _second, _sum, _zero, dirac, pair)
 from probfold.functors import ForLoopF, ListF
+from probfold.matrix import _branch_outcomes
 from probfold.schemes import Algebra, banana_split, cata_eval, fold_list, for_loop, mutual_eval
 
 _FOR, _LIST = ForLoopF(), ListF()
@@ -91,6 +94,43 @@ def _choices(draw):
     weights = [draw(_WEIGHTS) for _ in branches[1:]]
     assume(math.fsum(weights) <= 1.0)
     return _Choice(zip([1.0 - math.fsum(weights)] + weights, branches))
+
+
+_INT_BRANCHES = st.one_of(st.sampled_from([_identity, _zero]),
+                          st.builds(partial, st.just(operator.add), st.integers(-2, 2)))
+
+
+@st.composite
+def _merge_choices(draw):
+    """A state arity and a choice of 1-4 affine branches over it, forms
+    repeated, weights 0 and 1e-16 among them."""
+    arity = draw(st.sampled_from([1, 2]))
+    pool = draw(st.lists(_INT_BRANCHES if arity == 1 else _BRANCHES, min_size=1, max_size=3))
+    fs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    weights = [draw(_WEIGHTS) for _ in fs[1:]]
+    assume(math.fsum(weights) <= 1.0)
+    return arity, _Choice(zip([1.0 - math.fsum(weights)] + weights, fs))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(drawn=_merge_choices())
+def test_branch_outcomes_list_the_choice_outcomes_at_every_state_bit_for_bit(drawn):
+    """On a grid of states, where heads meet and where they do not, the
+    listed (value, weight > 0) pairs are ``_Choice.outcomes`` in order; the
+    weights are one run-wide row exactly when the heads share one
+    coefficient vector."""
+    arity, step = drawn
+    weights, forms = _affine_choice(step, arity)
+    grid = np.arange(-4, 5, dtype=np.int64)
+    states = (grid,) if arity == 1 else (grid[:, None], grid[None, :])
+    values, mass = _branch_outcomes((weights, forms))(states)
+    assert (mass.ndim == 1) == (len({form[:-1] for form in forms}) == 1)
+    shape = (grid.size,) * arity + values.shape[-1:]
+    values, mass = np.broadcast_to(values, shape), np.broadcast_to(mass, shape)
+    for index in np.ndindex(shape[:-1]):
+        state = tuple(grid[list(index)].tolist())
+        listed = [(v, m.hex()) for v, m in zip(values[index].tolist(), mass[index].tolist()) if m > 0]
+        assert listed == [(v, m.hex()) for v, m in step.outcomes(state[0] if arity == 1 else state)]
 
 
 def _dists(values):
